@@ -121,13 +121,23 @@ def _outcomes_payload(outcomes):
 def _parse_seed(value):
     if value == "random":
         return int.from_bytes(os.urandom(8), "big")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise BadParameters(
+            f"--seed must be an integer or 'random', got {value!r}"
+        ) from None
 
 
 def _default_workers():
     env = os.environ.get("QSSLAB_WORKERS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise BadParameters(
+                f"QSSLAB_WORKERS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -140,7 +150,10 @@ def build_parser():
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--seed", default="0",
                         help="integer seed, or 'random' (default 0)")
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=None,
+                        help="processes for search restarts, capped at the "
+                        "restart count (default $QSSLAB_WORKERS, else the "
+                        "CPU count)")
         return sp
 
     sp = add("qss", help="classify a state as quasi-separable")
@@ -285,9 +298,10 @@ def run_command(argv):
     """Parse argv, run the subcommand, return (exit_code, report)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = _parse_seed(args.seed)
-    workers = args.workers if args.workers else _default_workers()
+    seed = None  # reported as null when --seed itself is bad
     try:
+        seed = _parse_seed(args.seed)
+        workers = _default_workers() if args.workers is None else args.workers
         inputs, results = _dispatch(args, seed, workers)
     except (ParseError, InvalidState, BadParameters) as exc:
         doc = make_report(args.command, {}, {"error": str(exc)}, seed)

@@ -57,12 +57,22 @@ def concurrence(rho: states.QuantumState) -> float:
     return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
-def concurrence_matrix(m) -> float:
-    """Concurrence straight from a 4x4 density matrix (fast scoring path)."""
+def concurrence_matrix(m):
+    """Concurrence straight from 4x4 density matrices (fast scoring path).
+
+    m has shape (..., 4, 4). A single matrix gives a float, a stack an
+    array; each entry is bitwise what a single call returns, since the
+    eigensolver still runs one matrix at a time.
+    """
     ev = np.abs(np.real(np.linalg.eigvals(m @ (Y2 @ np.conj(m) @ Y2))))
-    ev[ev < max(1e-16, 1e-14 * np.max(ev))] = 0.0
-    lam = np.sort(np.sqrt(ev))[::-1]
-    return float(max(0.0, lam[0] - lam[1:].sum()))
+    ev[ev < np.maximum(1e-16, 1e-14 * ev.max(axis=-1, keepdims=True))] = 0.0
+    lam = np.sqrt(ev)
+    lam.sort(axis=-1)
+    l0, l1, l2, l3 = lam.T  # ascending
+    gap = (l3 - (l2 + l1 + l0)).T
+    if gap.ndim == 0:
+        return float(max(0.0, gap))
+    return np.where(gap > 0.0, gap, 0.0)
 
 
 @dataclass(frozen=True)

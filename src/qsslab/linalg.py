@@ -6,6 +6,8 @@ immutable by convention: no function here mutates its inputs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -149,6 +151,26 @@ def haar_unitary_from_rng(dim, rng):
     return q * phases
 
 
+@functools.lru_cache(maxsize=None)
+def _givens_layout(dim):
+    """Constant part of parameterized_unitary's factors, and where its
+    parameters go.
+
+    Factor 0 is the phase layer, factor k >= 1 the two-level rotation of
+    the k-th index pair; positions index the flattened factor stack, in
+    the order [phases, (i, i), (j, j), (i, j), (j, i)].
+    """
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    template = np.zeros((len(pairs) + 1, dim, dim), dtype=complex)
+    template[1:] = np.eye(dim)
+    pos = [i * (dim + 1) for i in range(dim)]
+    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        pos += [(k * dim + p[a]) * dim + p[b] for k, p in enumerate(pairs, 1)]
+    pos = np.array(pos)
+    template.flags.writeable = pos.flags.writeable = False  # cached, shared
+    return template, pos
+
+
 def parameterized_unitary(theta, dim):
     """Unitary from dim^2 real parameters; theta = 0 gives the identity.
 
@@ -156,24 +178,28 @@ def parameterized_unitary(theta, dim):
     pair (i, j) with i < j a rotation angle and a relative phase for a
     two-level Givens rotation. The product of phase layer and rotations is
     surjective onto U(dim) up to measure zero.
+
+    theta may carry leading batch axes, shape (..., dim^2); the result then
+    has shape (..., dim, dim). Each matrix of a stack is bitwise the one a
+    single call returns: the factors are multiplied one matrix at a time.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dim * dim,):
+    if theta.shape[-1:] != (dim * dim,):
         raise BadParameterCount(
             f"expected {dim * dim} parameters for dim {dim}, got {theta.shape}"
         )
-    u = np.diag(np.exp(1j * theta[:dim]))
-    pos = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ang, ph = theta[pos], theta[pos + 1]
-            pos += 2
-            c = np.cos(ang / 2)
-            s = np.sin(ang / 2)
-            g = np.eye(dim, dtype=complex)
-            g[i, i] = c
-            g[j, j] = c
-            g[i, j] = -np.exp(1j * ph) * s
-            g[j, i] = np.exp(-1j * ph) * s
-            u = u @ g
+    batch = theta.shape[:-1]
+    template, pos = _givens_layout(dim)
+    half = theta[..., dim::2] / 2
+    e = np.exp(1j * theta)
+    c = np.cos(half)
+    es = e[..., dim + 1::2] * np.sin(half)
+    g = np.empty(batch + template.shape, dtype=complex)
+    g[...] = template
+    g.reshape(batch + (-1,))[..., pos] = np.concatenate(
+        (e[..., :dim], c, c, -es, np.conj(es)), axis=-1
+    )
+    u = g[..., 0, :, :]
+    for k in range(1, len(template)):
+        u = u @ g[..., k, :, :]
     return u

@@ -6,8 +6,9 @@ the computational product basis, and keep the postselected source state.
 
 Storage order for the joint state is [SS_A, SS_B, AS_A, AS_B] (the plain
 kron of source and ancilla); the local unitaries act in the order
-[SS_A, AS_A, SS_B, AS_B]. The reordering is an explicit permutation
-matrix, the single most error-prone spot in this module.
+[SS_A, AS_A, SS_B, AS_B]. round_kernel reorders the tensor factors with
+a transpose, the single most error-prone spot in this module;
+permutation_matrix spells the same reordering out as a matrix.
 """
 
 from __future__ import annotations
@@ -72,38 +73,52 @@ def permutation_matrix(dims, perm):
     return p
 
 
-def _round_operator(rho_s, rho_a, rnd):
-    """Full-space unitary in storage order, plus sanity on dimensions."""
-    dsa, dsb = rho_s.dims
-    daa, dab = rho_a.dims
-    if rnd.u_alice.shape[0] != dsa * daa or rnd.u_bob.shape[0] != dsb * dab:
+def round_kernel(total, dims_s, dims_a, u_alice, u_bob):
+    """Outcome probabilities and unnormalized post blocks of rounds.
+
+    total is kron(source, ancilla) in storage order. u_alice (..., da, da)
+    and u_bob (..., db, db) are local unitaries with matching leading axes,
+    one round per index. Returns probabilities (..., K) and blocks
+    (..., K, ds, ds) for the K ancilla outcomes in label order 00, 01, ...
+    """
+    dsa, dsb = dims_s
+    daa, dab = dims_a
+    if u_alice.shape[-1] != dsa * daa or u_bob.shape[-1] != dsb * dab:
         raise DimensionMismatch(
             "round unitaries do not match source/ancilla dimensions"
         )
-    p = permutation_matrix([dsa, dsb, daa, dab], (0, 2, 1, 3))
-    u_act = np.kron(rnd.u_alice, rnd.u_bob)
-    return p.T @ u_act @ p
+    batch = u_alice.shape[:-2]
+    n = len(batch)
+    # kron(uA, uB) acts in the order [SS_A, AS_A, SS_B, AS_B]; reorder its
+    # row and column factors to the storage order [SS_A, SS_B, AS_A, AS_B]
+    act = u_alice[..., :, None, :, None] * u_bob[..., None, :, None, :]
+    act = act.reshape(batch + (dsa, daa, dsb, dab) * 2)
+    order = [*range(n)] + [n + k for k in (0, 2, 1, 3, 4, 6, 5, 7)]
+    dim = dsa * dsb * daa * dab
+    u = act.transpose(order).reshape(batch + (dim, dim))
+    out = u @ total @ np.conj(np.swapaxes(u, -1, -2))
+    t = out.reshape(batch + (dsa, dsb, daa, dab) * 2)
+    # block (ma, mb) is t[..., :, :, ma, mb, :, :, ma, mb]; a contiguous
+    # copy, so its trace sums in the same order for any batch shape
+    blocks = np.ascontiguousarray(
+        np.einsum("...abijcdij->...ijabcd", t)
+    ).reshape(batch + (daa * dab, dsa * dsb, dsa * dsb))
+    probs = np.real(np.trace(blocks, axis1=-2, axis2=-1))
+    return probs, blocks
 
 
 def run_round_raw(rho_s, rho_a, rnd):
     """Outcome labels, probabilities, and unnormalized post matrices.
 
-    Fast path shared by run_round and the protocol search; skips
-    QuantumState validation on the outputs.
+    Skips QuantumState validation on the outputs.
     """
-    u = _round_operator(rho_s, rho_a, rnd)
-    total = np.kron(rho_s.matrix, rho_a.matrix)
-    total = u @ total @ np.conj(u.T)
-    dsa, dsb = rho_s.dims
+    probs, blocks = round_kernel(
+        np.kron(rho_s.matrix, rho_a.matrix), rho_s.dims, rho_a.dims,
+        rnd.u_alice, rnd.u_bob,
+    )
     daa, dab = rho_a.dims
-    t = total.reshape(dsa, dsb, daa, dab, dsa, dsb, daa, dab)
-    results = []
-    for ma in range(daa):
-        for mb in range(dab):
-            block = t[:, :, ma, mb, :, :, ma, mb].reshape(dsa * dsb, dsa * dsb)
-            prob = float(np.real(np.trace(block)))
-            results.append((f"{ma}{mb}", prob, block))
-    return results
+    labels = [f"{ma}{mb}" for ma in range(daa) for mb in range(dab)]
+    return [(label, float(p), b) for label, p, b in zip(labels, probs, blocks)]
 
 
 def run_round(rho_s, rho_a, rnd) -> list[RoundOutcome]:

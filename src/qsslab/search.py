@@ -32,22 +32,41 @@ def outcome_score(prob, post_matrix, dims):
     """
     if prob <= 0.0 or post_matrix is None:
         return 0.0
-    m_p = min(1.0, prob / _P_PROB)
-    purity = float(np.real(np.trace(post_matrix @ post_matrix)))
-    floor = 1.0 / post_matrix.shape[0]  # maximally mixed
-    m_pure = min(1.0, max(0.0, (purity - floor) / (1.0 - _P_PURITY - floor)))
-    m_ent = min(1.0, _entanglement_witness(post_matrix, dims) / _P_ENT)
-    return m_p * m_pure * m_ent
+    return float(outcome_scores(np.array([prob]), post_matrix[None], dims)[0])
 
 
-def _entanglement_witness(post_matrix, dims):
+def outcome_scores(probs, posts, dims, above=-np.inf):
+    """outcome_score of a stack: probabilities (L,), post matrices (L, n, n).
+
+    The score is (m_p * m_pure) * m_ent with every margin at most 1, so an
+    outcome whose first product is at most `above` (a scalar or one value
+    per outcome) cannot score above it: its entanglement witness is
+    skipped, and its entry is that product, an upper bound of its score.
+    """
+    m_p = np.minimum(1.0, probs / _P_PROB)
+    purity = np.real(np.trace(posts @ posts, axis1=-2, axis2=-1))
+    floor = 1.0 / posts.shape[-1]  # maximally mixed
+    m_pure = np.minimum(
+        1.0, np.maximum(0.0, (purity - floor) / (1.0 - _P_PURITY - floor))
+    )
+    scores = m_p * m_pure
+    full = scores > above
+    if full.any():
+        ent = _entanglement_witness(posts[full], dims)
+        scores[full] *= np.minimum(1.0, ent / _P_ENT)
+    return scores
+
+
+def _entanglement_witness(posts, dims):
     """Concurrence for two qubits; second Schmidt coefficient of the
-    principal eigenvector otherwise."""
+    principal eigenvector otherwise. One value per matrix of the stack."""
     if tuple(dims) == (2, 2):
-        return entanglement.concurrence_matrix(post_matrix)
-    vals, vecs = np.linalg.eigh(post_matrix)
-    coeffs = entanglement.schmidt_coefficients(vecs[:, -1], dims)
-    return float(coeffs[1]) if len(coeffs) > 1 else 0.0
+        return entanglement.concurrence_matrix(posts)
+    da, db = dims
+    if min(da, db) < 2:
+        return np.zeros(len(posts))
+    vecs = np.linalg.eigh(posts)[1][..., -1]
+    return np.linalg.svd(vecs.reshape(-1, da, db), compute_uv=False)[:, 1]
 
 
 def outcome_success(prob, post_state: states.QuantumState) -> bool:
@@ -67,12 +86,7 @@ def outcome_success(prob, post_state: states.QuantumState) -> bool:
 
 def score_round(rho_s, rho_a, rnd) -> float:
     """Best outcome score of a round (see outcome_score)."""
-    best = 0.0
-    for _, prob, block in protocol.run_round_raw(rho_s, rho_a, rnd):
-        if prob <= TOLERANCES["probability_floor"]:
-            continue
-        best = max(best, outcome_score(prob, block / prob, rho_s.dims))
-    return best
+    return float(_RoundScorer(rho_s, rho_a).score(rnd.u_alice, rnd.u_bob))
 
 
 @dataclass(frozen=True)
@@ -83,6 +97,8 @@ class SearchReport:
     restarts_used: int
     success: bool
     trace: tuple = ()
+    # objective evaluations over all restarts; not part of to_dict
+    evaluations: int = 0
 
     def to_dict(self):
         best_outcome = None
@@ -107,39 +123,31 @@ class SearchReport:
 
 
 class _RoundScorer:
-    """Shared fast path: caches the factor permutation and dimensions."""
+    """Scores stacks of candidate rounds for one (source, ancilla) pair."""
 
     def __init__(self, rho_s, rho_a):
         self.rho_s = rho_s
         self.rho_a = rho_a
-        dsa, dsb = rho_s.dims
-        daa, dab = rho_a.dims
-        self.da = dsa * daa
-        self.db = dsb * dab
-        self.perm = protocol.permutation_matrix(
-            [dsa, dsb, daa, dab], (0, 2, 1, 3)
-        )
+        self.da = rho_s.dims[0] * rho_a.dims[0]
+        self.db = rho_s.dims[1] * rho_a.dims[1]
         self.total = np.kron(rho_s.matrix, rho_a.matrix)
-        self.shape = (dsa, dsb, daa, dab)
 
-    def score(self, u_alice, u_bob):
-        dsa, dsb, daa, dab = self.shape
-        u = self.perm.T @ np.kron(u_alice, u_bob) @ self.perm
-        out = u @ self.total @ np.conj(u.T)
-        t = out.reshape(self.shape + self.shape)
-        best = 0.0
-        for ma in range(daa):
-            for mb in range(dab):
-                block = t[:, :, ma, mb, :, :, ma, mb].reshape(
-                    dsa * dsb, dsa * dsb
-                )
-                prob = float(np.real(np.trace(block)))
-                if prob <= TOLERANCES["probability_floor"]:
-                    continue
-                best = max(
-                    best, outcome_score(prob, block / prob, self.rho_s.dims)
-                )
-        return best
+    def score(self, u_alice, u_bob, above=-np.inf):
+        """Best outcome score of each round of the stack, u_alice
+        (..., da, da) and u_bob (..., db, db). A round whose score is at
+        most `above` (one value per round) may get an upper bound that is
+        also at most `above` in its place; see outcome_scores."""
+        probs, blocks = protocol.round_kernel(
+            self.total, self.rho_s.dims, self.rho_a.dims, u_alice, u_bob
+        )
+        live = probs > TOLERANCES["probability_floor"]
+        p = probs[live]
+        bar = np.broadcast_to(np.asarray(above)[..., None], probs.shape)[live]
+        scores = np.zeros(probs.shape)
+        scores[live] = outcome_scores(
+            p, blocks[live] / p[:, None, None], self.rho_s.dims, bar
+        )
+        return scores.max(axis=-1)
 
 
 def _restart_seeds(rho_s, rho_a, seeds_in):
@@ -155,53 +163,120 @@ def _restart_seeds(rho_s, rho_a, seeds_in):
     return rounds
 
 
-def _run_restart(scorer, base_ua, base_ub, iters):
-    """Pattern search around a base round; returns (score, uA, uB, evals)."""
-    da, db = scorer.da, scorer.db
-    na, nb = da * da, db * db
+def _run_restart(n, iters):
+    """Coordinate pattern search over n parameters, starting at zero.
 
-    def evaluate(theta):
-        ua = base_ua @ linalg.parameterized_unitary(theta[:na], da)
-        ub = base_ub @ linalg.parameterized_unitary(theta[na:], db)
-        return scorer.score(ua, ub), ua, ub
-
-    theta = np.zeros(na + nb)
-    best, ua, ub = evaluate(theta)
+    A generator: it yields (candidate, score to beat) and is sent the
+    candidate's score; it returns (best score, best parameters,
+    evaluations). The step starts at 0.3 rad, halves after a sweep without
+    improvement and stops at 1e-4; the first improving candidate is taken;
+    at most `iters` evaluations.
+    """
+    theta = np.zeros(n)
+    best = yield theta, -np.inf
     evals = 1
     step = 0.3
     while step > 1e-4 and evals < iters and best < 1.0:
         improved = False
-        for i in range(na + nb):
+        for i in range(n):
             if evals >= iters:
                 break
             for sgn in (1.0, -1.0):
                 cand = theta.copy()
                 cand[i] += sgn * step
-                val, cua, cub = evaluate(cand)
+                val = yield cand, best
                 evals += 1
                 if val > best:
-                    theta, best, ua, ub = cand, val, cua, cub
+                    theta, best = cand, val
                     improved = True
                     break
                 if evals >= iters:
                     break
         if not improved:
             step *= 0.5
-    return best, ua, ub, evals
+    return best, theta, evals
 
 
-def _restart_task(args):
-    rho_s, rho_a, seed, index, iters, seed_rounds = args
+def _search_chunk(rho_s, rho_a, bases, iters):
+    """Pattern searches around base rounds [(u_alice, u_bob), ...], run in
+    lockstep: each step scores the pending candidate of every live restart
+    in one stacked call. Returns (score, u_alice, u_bob, evaluations) per
+    restart, each bitwise independent of the other restarts in the chunk.
+    """
     scorer = _RoundScorer(rho_s, rho_a)
-    if index < len(seed_rounds):
-        base = seed_rounds[index]
-        base_ua, base_ub = base.u_alice, base.u_bob
-    else:
-        rng = np.random.default_rng([seed, index])
-        base_ua = linalg.haar_unitary_from_rng(scorer.da, rng)
-        base_ub = linalg.haar_unitary_from_rng(scorer.db, rng)
-    best, ua, ub, _ = _run_restart(scorer, base_ua, base_ub, iters)
-    return index, best, ua, ub
+    na = scorer.da**2
+    n = na + scorer.db**2
+    sides = [  # (parameter columns, dimension, base unitaries)
+        (slice(0, na), scorer.da, np.array([b[0] for b in bases])),
+        (slice(na, n), scorer.db, np.array([b[1] for b in bases])),
+    ]
+    # each restart's last candidate: its parameters (NaN before the first)
+    # and its two unitaries, of which only a side that moved is rebuilt
+    last = np.full((len(bases), n), np.nan)
+    units = [np.empty_like(base) for _, _, base in sides]
+    searches = [_run_restart(n, iters) for _ in bases]
+    pending = [next(s) for s in searches]
+    done = [None] * len(bases)
+    live = np.arange(len(bases))
+    while live.size:
+        cand = np.array([pending[r][0] for r in live])
+        for (cols, dim, base), u in zip(sides, units):
+            moved = np.any(cand[:, cols] != last[live, cols], axis=1)
+            if moved.any():
+                rows = live[moved]
+                u[rows] = base[rows] @ linalg.parameterized_unitary(
+                    cand[moved, cols], dim
+                )
+        last[live] = cand
+        vals = scorer.score(
+            units[0][live], units[1][live],
+            np.array([pending[r][1] for r in live]),
+        )
+        still = []
+        for r, val in zip(live, vals):
+            try:
+                pending[r] = searches[r].send(float(val))
+                still.append(r)
+            except StopIteration as stop:
+                done[r] = stop.value
+        live = np.array(still, dtype=int)
+    thetas = np.array([theta for _, theta, _ in done])
+    u_a, u_b = (
+        base @ linalg.parameterized_unitary(thetas[:, cols], dim)
+        for cols, dim, base in sides
+    )
+    return [
+        (best, ua, ub, evals)
+        for (best, _, evals), ua, ub in zip(done, u_a, u_b)
+    ]
+
+
+def _chunk_task(args):
+    """Run a chunk of restarts; returns (index, score, u_alice, u_bob,
+    evaluations) per restart. Restart i starts from the i-th seed round,
+    or from Haar-random unitaries drawn from the seed sequence [seed, i]."""
+    rho_s, rho_a, seed, indices, iters, seed_rounds = args
+    da = rho_s.dims[0] * rho_a.dims[0]
+    db = rho_s.dims[1] * rho_a.dims[1]
+    bases = []
+    for index in indices:
+        if index < len(seed_rounds):
+            rnd = seed_rounds[index]
+            bases.append((rnd.u_alice, rnd.u_bob))
+        else:
+            rng = np.random.default_rng([seed, index])
+            bases.append((linalg.haar_unitary_from_rng(da, rng),
+                          linalg.haar_unitary_from_rng(db, rng)))
+    results = _search_chunk(rho_s, rho_a, bases, iters)
+    return [(i, *res) for i, res in zip(indices, results)]
+
+
+def _restart_chunks(restarts, workers):
+    """Contiguous runs of restart indices, one per worker process and never
+    more runs than restarts; their lengths differ by at most one."""
+    n = min(workers, restarts)
+    edges = [restarts * k // n for k in range(n + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def optimize_protocol(
@@ -218,24 +293,28 @@ def optimize_protocol(
     Each restart runs a coordinate pattern search (initial step 0.3 rad,
     halved on failed sweeps, floor 1e-4) in the unitary parameters around
     its starting round, with at most `iters` objective evaluations. Named
-    protocol rounds are always among the starting points. Fully
-    deterministic for fixed (inputs, seed, restarts, iters), independent of
-    worker count.
+    protocol rounds are always among the starting points. The restarts are
+    split into min(workers, restarts) contiguous chunks, one process each;
+    a chunk runs its restarts in lockstep. Fully deterministic for fixed
+    (inputs, seed, restarts, iters), bitwise independent of worker count.
     """
     if restarts < 1:
         raise BadParameters("restarts must be >= 1")
+    if workers < 1:
+        raise BadParameters("workers must be >= 1")
     seed_rounds = _restart_seeds(rho_s, rho_a, seeds_in)
     tasks = [
-        (rho_s, rho_a, seed, r, iters, seed_rounds) for r in range(restarts)
+        (rho_s, rho_a, seed, chunk, iters, seed_rounds)
+        for chunk in _restart_chunks(restarts, workers)
     ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_restart_task, tasks))
+    if len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(len(tasks)) as ex:
+            parts = list(ex.map(_chunk_task, tasks))
     else:
-        results = [_restart_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        parts = [_chunk_task(tasks[0])]
+    results = [r for part in parts for r in part]
     trace = tuple(float(r[1]) for r in results)
-    best_index, best_score, best_ua, best_ub = max(
+    best_index, best_score, best_ua, best_ub, _ = max(
         results, key=lambda r: (r[1], -r[0])
     )
     best_round = protocol.ProtocolRound(best_ua, best_ub)
@@ -259,6 +338,7 @@ def optimize_protocol(
         restarts_used=restarts,
         success=success,
         trace=trace,
+        evaluations=sum(r[4] for r in results),
     )
 
 

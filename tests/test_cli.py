@@ -189,3 +189,32 @@ def test_main_writes_to_out(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["command"] == "reproduce-cnot"
+
+
+def test_bad_seed_exits_2():
+    code, doc = cli.run_command(["reproduce-cnot", "--seed", "abc"])
+    assert code == 2
+    assert "--seed" in doc["results"]["error"]
+    assert doc["seed"] is None
+
+
+def test_main_bad_seed_exits_2(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["--out", str(out), "reproduce-cnot", "--seed", "abc"]) == 2
+    assert "error" in json.loads(out.read_text())["results"]
+
+
+def test_bad_workers_exit_2(tmp_path, monkeypatch):
+    s = write_state(tmp_path, "s.json", states.werner(0.9))
+    args = ["search", "--state", s, "--ancilla", s, "--restarts", "2",
+            "--iters", "5"]
+    code, doc = cli.run_command(args + ["--workers", "0"])
+    assert code == 2
+    assert "workers" in doc["results"]["error"]
+    monkeypatch.setenv("QSSLAB_WORKERS", "two")
+    code, doc = cli.run_command(args)
+    assert code == 2
+    assert "QSSLAB_WORKERS" in doc["results"]["error"]
+    monkeypatch.setenv("QSSLAB_WORKERS", "1")
+    code, doc = cli.run_command(args)
+    assert code == 0

@@ -186,3 +186,17 @@ def test_schmidt_coefficients_examples(rng):
     c = entanglement.schmidt_coefficients(psi, (2, 2))
     assert np.allclose(c, [0.8, 0.6])
     assert abs(np.sum(c**2) - 1.0) <= 1e-10
+
+
+def test_concurrence_matrix_stack_matches_single_calls(rng):
+    ms = np.array([
+        states.random_density_from_rng((2, 2), rng, rank=1 + i % 4).matrix
+        for i in range(12)
+    ]).reshape(3, 4, 4, 4)
+    stack = entanglement.concurrence_matrix(ms)
+    assert stack.shape == (3, 4)
+    for m, c in zip(ms.reshape(-1, 4, 4), stack.ravel()):
+        single = entanglement.concurrence_matrix(m)
+        assert isinstance(single, float)
+        assert single == c
+        assert abs(single - entanglement.concurrence(states.QuantumState(m))) <= 1e-7

@@ -262,3 +262,14 @@ def test_parameterized_unitary_single_angle_orbit():
 def test_parameterized_unitary_bad_count():
     with pytest.raises(BadParameterCount):
         linalg.parameterized_unitary(np.zeros(3), 2)
+
+
+def test_parameterized_unitary_stack_matches_single_calls(rng):
+    for dim in (1, 2, 3, 4, 6):
+        thetas = rng.uniform(-np.pi, np.pi, (3, 5, dim * dim))
+        stack = linalg.parameterized_unitary(thetas, dim)
+        assert stack.shape == (3, 5, dim, dim)
+        for theta, u in zip(thetas.reshape(-1, dim * dim),
+                            stack.reshape(-1, dim, dim)):
+            single = linalg.parameterized_unitary(theta, dim)
+            assert single.tobytes() == np.ascontiguousarray(u).tobytes()

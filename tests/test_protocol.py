@@ -315,3 +315,23 @@ def test_run_sequence_postselect_best_score():
     )
     assert len(branches) == 1
     assert branches[0].labels == ("01",)
+
+
+def test_round_kernel_stack_matches_single_rounds(rng):
+    for dims_s, dims_a in (((2, 2), (2, 2)), ((2, 3), (2, 2)), ((3, 2), (2, 3))):
+        rho_s = states.random_density_from_rng(dims_s, rng)
+        rho_a = states.random_density_from_rng(dims_a, rng)
+        total = np.kron(rho_s.matrix, rho_a.matrix)
+        da, db = dims_s[0] * dims_a[0], dims_s[1] * dims_a[1]
+        uas = np.array([linalg.haar_unitary_from_rng(da, rng) for _ in range(3)])
+        ubs = np.array([linalg.haar_unitary_from_rng(db, rng) for _ in range(3)])
+        probs, blocks = protocol.round_kernel(total, dims_s, dims_a, uas, ubs)
+        assert probs.shape == (3, dims_a[0] * dims_a[1])
+        for k in range(3):
+            rnd = protocol.ProtocolRound(uas[k], ubs[k])
+            want = oracle_run_round(rho_s, rho_a, rnd)
+            raw = protocol.run_round_raw(rho_s, rho_a, rnd)
+            for (label, prob, block), p, b in zip(raw, probs[k], blocks[k]):
+                assert prob == p and block.tobytes() == b.tobytes()
+                assert abs(prob - want[label][0]) <= 1e-12
+                assert np.max(np.abs(block - want[label][1])) <= 1e-12

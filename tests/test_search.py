@@ -102,3 +102,151 @@ def test_report_serialization():
     text = json.dumps(data, sort_keys=True)
     assert json.loads(text) == data
     assert data["success"] is True
+
+
+# Per-restart (best score, evaluations), recorded from the one-restart-at-a-
+# time search that the lockstep driver replaced. Inputs: GOLDEN_INPUTS.
+GOLDEN = {
+    "full-rank-101": [
+        (0.8125569113113741, 500),
+        (0.837439474676603, 500),
+        (0.8511073100135877, 500),
+        (0.8686708327030938, 500),
+        (0.8468256306149851, 500),
+        (0.8707895693586891, 500),
+        (0.8689446384639508, 500),
+        (0.8526940866491182, 500),
+    ],
+    "full-rank-202": [
+        (0.8257675593900202, 500),
+        (0.8366066689946987, 500),
+        (0.8313565813646185, 500),
+        (0.8429083882981065, 500),
+        (0.8278040691884166, 500),
+        (0.8826653111039866, 500),
+        (0.8923142794565089, 500),
+        (0.866902620164012, 500),
+    ],
+    "2x3-rank-3": [
+        (0.5253545629332275, 200),
+        (0.6805185970496276, 200),
+        (0.7262366365691753, 200),
+        (0.7084714369428479, 200),
+    ],
+    "cnot": [
+        (0.798823359343912, 50),
+        (0.8143248014338927, 50),
+        (1.0, 1),
+        (0.5461446061181222, 50),
+    ],
+    "swap": [
+        (0.0, 50),
+        (1.0, 1),
+        (0.0, 50),
+        (1.0, 1),
+    ],
+}
+
+
+def _full_rank_pair(key):
+    rng = np.random.default_rng(key)
+    rho_s = states.random_density_from_rng((2, 2), rng)
+    return rho_s, states.random_density_from_rng((2, 2), rng)
+
+
+def _two_by_three_pair():
+    rng = np.random.default_rng(303)
+    rho_s = states.random_density_from_rng((2, 3), rng, rank=3)
+    return rho_s, states.random_density_from_rng((2, 2), rng)
+
+
+# name -> (make pair, restarts, iters, seed)
+GOLDEN_INPUTS = {
+    "full-rank-101": (lambda: _full_rank_pair(101), 8, 500, 3),
+    "full-rank-202": (lambda: _full_rank_pair(202), 8, 500, 6),
+    "2x3-rank-3": (_two_by_three_pair, 4, 200, 5),
+    "cnot": (lambda: (eq10_source(), eq11_ancilla()), 4, 50, 0),
+    "swap": (lambda: (states.pure_state(states.basis_ket((0, 0), (2, 2))),
+                      states.pure_state(states.PHI_PLUS)), 4, 50, 0),
+}
+
+
+def _run_chunks(rho_s, rho_a, seed, chunks, iters):
+    seed_rounds = search._restart_seeds(rho_s, rho_a, None)
+    return [
+        r for chunk in chunks
+        for r in search._chunk_task(
+            (rho_s, rho_a, seed, chunk, iters, seed_rounds))
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_restart_traces_match_golden(name):
+    make, restarts, iters, seed = GOLDEN_INPUTS[name]
+    rho_s, rho_a = make()
+    want_scores = np.array([score for score, _ in GOLDEN[name]])
+    want_counts = [count for _, count in GOLDEN[name]]
+    per_restart = _run_chunks(rho_s, rho_a, seed, [range(restarts)], iters)
+    assert [r[4] for r in per_restart] == want_counts
+    rep = search.optimize_protocol(
+        rho_s, rho_a, restarts=restarts, iters=iters, seed=seed
+    )
+    assert np.max(np.abs(np.array(rep.trace) - want_scores)) <= 1e-12
+    assert rep.trace == tuple(r[1] for r in per_restart)
+    assert rep.evaluations == sum(want_counts)
+    assert "evaluations" not in rep.to_dict()
+
+
+def test_lockstep_chunks_are_bitwise_independent():
+    rho_s, rho_a = _full_rank_pair(404)
+    whole = _run_chunks(rho_s, rho_a, 9, [range(8)], 150)
+    split = _run_chunks(rho_s, rho_a, 9, [range(3), range(3, 8)], 150)
+    single = _run_chunks(rho_s, rho_a, 9, [range(i, i + 1) for i in range(8)],
+                         150)
+    rep = search.optimize_protocol(rho_s, rho_a, restarts=8, iters=150, seed=9)
+    best = max(whole, key=lambda r: (r[1], -r[0]))
+    for other in (split, single):
+        assert len(other) == len(whole)
+        for a, b in zip(whole, other):
+            assert a[0] == b[0] and a[1] == b[1] and a[4] == b[4]
+            assert a[2].tobytes() == b[2].tobytes()
+            assert a[3].tobytes() == b[3].tobytes()
+    assert rep.trace == tuple(r[1] for r in whole)
+    assert rep.best_round.u_alice.tobytes() == best[2].tobytes()
+    assert rep.best_round.u_bob.tobytes() == best[3].tobytes()
+
+
+def test_optimize_rejects_bad_workers():
+    for workers in (0, -1):
+        with pytest.raises(BadParameters):
+            search.optimize_protocol(
+                states.werner(0.9), states.werner(0.9), workers=workers
+            )
+
+
+def test_restart_chunks_cover_restarts_in_order():
+    assert search._restart_chunks(64, 2) == [range(0, 32), range(32, 64)]
+    assert search._restart_chunks(2, 512) == [range(0, 1), range(1, 2)]
+    assert search._restart_chunks(7, 1) == [range(0, 7)]
+    for restarts in range(1, 12):
+        for workers in range(1, 14):
+            chunks = search._restart_chunks(restarts, workers)
+            assert len(chunks) == min(workers, restarts)
+            assert [i for c in chunks for i in c] == list(range(restarts))
+            sizes = [len(c) for c in chunks]
+            assert max(sizes) - min(sizes) <= 1
+
+
+def test_outcome_scores_cut_is_an_upper_bound(rng):
+    posts, probs = [], []
+    for rank in (1, 1, 2, 3, 4):
+        posts.append(states.random_density_from_rng((2, 2), rng, rank=rank).matrix)
+        probs.append(float(rng.uniform(1e-7, 1.0)))
+    posts, probs = np.array(posts), np.array(probs)
+    exact = search.outcome_scores(probs, posts, (2, 2))
+    for p, m, s in zip(probs, posts, exact):
+        assert s == search.outcome_score(p, m, (2, 2))
+    for above in (0.0, 0.3, 0.9):
+        cut = search.outcome_scores(probs, posts, (2, 2), above)
+        assert np.all(cut >= exact)
+        assert np.all((cut == exact) | (cut <= above))
