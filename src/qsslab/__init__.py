@@ -1,7 +1,9 @@
 """qsslab: quasi-separability classification and purification-protocol
 search for small bipartite quantum states."""
 
-from . import cli, config, entanglement, linalg, protocol, qss, search, states
+import importlib
+
+from . import config, entanglement, linalg, protocol, qss, search, states
 from .errors import QsslabError
 
 __all__ = [
@@ -15,3 +17,11 @@ __all__ = [
     "states",
     "QsslabError",
 ]
+
+
+def __getattr__(name):
+    # cli loads on first use, so `python -m qsslab.cli` runs it only once,
+    # as __main__
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

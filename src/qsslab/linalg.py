@@ -1,7 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces (dim <= ~64).
 
 Everything works on plain complex128 numpy arrays. Operators and kets are
-immutable by convention: no function here mutates its inputs.
+immutable by convention: no function here mutates its inputs. The
+coordinate pattern search that both the QSS heuristic and the protocol
+search climb with lives here too.
 """
 
 from __future__ import annotations
@@ -203,3 +205,38 @@ def parameterized_unitary(theta, dim):
     for k in range(1, len(template)):
         u = u @ g[..., k, :, :]
     return u
+
+
+def pattern_search(theta0, iters, target):
+    """Coordinate pattern search that maximizes a score, starting at theta0.
+
+    A generator: it yields (candidate, score to beat) and is sent the
+    candidate's score; it returns (best score, best parameters,
+    evaluations). The step starts at 0.3, halves after a sweep without
+    improvement and stops at 1e-4; the first improving candidate is taken;
+    at most `iters` evaluations; it stops as soon as the best score
+    reaches `target`, the start included.
+    """
+    theta = np.asarray(theta0, dtype=float)
+    best = yield theta, -np.inf
+    evals = 1
+    step = 0.3
+    while step > 1e-4 and evals < iters and best < target:
+        improved = False
+        for i in range(len(theta)):
+            if evals >= iters:
+                break
+            for sgn in (1.0, -1.0):
+                cand = theta.copy()
+                cand[i] += sgn * step
+                val = yield cand, best
+                evals += 1
+                if val > best:
+                    theta, best = cand, val
+                    improved = True
+                    break
+                if evals >= iters:
+                    break
+        if not improved:
+            step *= 0.5
+    return best, theta, evals

@@ -170,11 +170,9 @@ CNOT = np.array(
 
 
 def swap_matrix(d):
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
+    """|i j> -> |j i> on two d-level factors."""
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d * d)
+    return eye.transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def named_round(name, dims_s=(2, 2), dims_a=(2, 2)) -> ProtocolRound:

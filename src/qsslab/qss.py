@@ -96,17 +96,18 @@ def full_rank_certificate(rho: states.QuantumState) -> QssVerdict:
     return _verified(rho, ens, w, {"rank": rank, "route": "full-rank"})
 
 
-def _reweighted_matrix(ensemble, weights):
-    return states.reweight(ensemble, weights).matrix
-
-
 def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
-    """Rank-deficient two-qubit criterion.
+    """Rank-deficient two-qubit criterion, in closed form.
 
-    Uses the diagonal spin-flip decomposition {|z_i>}: shrinking the weight
-    on z_1 rescales the lambda' spectrum, so a separable reweighting exists
-    whenever any of lambda'_2..4 is nonzero. If they all vanish while
-    lambda'_1 > 0, the state is flagged as a non-QSS candidate.
+    Uses the diagonal spin-flip decomposition {|z_i>} with weights w_i.
+    Weight q on z_1 and the others scaled by s = (1 - q)/(1 - w_1) rescale
+    its spectrum exactly: lambda(rho') = sort(q/w_1 lambda'_1, s lambda'_2,
+    s lambda'_3, s lambda'_4) (Wootters 1998). With T the sum and M the
+    largest of lambda'_2..4, rho' is therefore separable exactly when
+    s(2M - T) <= q/w_1 lambda'_1 <= s T, an interval of q that exists
+    whenever any of lambda'_2..4 is nonzero; the certificate takes its
+    midpoint. If they all vanish while lambda'_1 > 0, the state is flagged
+    as a non-QSS candidate.
     """
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 system, got dims {rho.dims}")
@@ -123,66 +124,22 @@ def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
 
     ens = md.ensemble(rho.dims)
     w = ens.weights
-    q_lo = TOLERANCES["min_certificate_weight"]
-    q_hi = float(w[0])
-
-    def weights_at(q):
-        out = np.array(w, dtype=float)
-        out[0] = q
-        out[1:] *= (1.0 - q) / (1.0 - w[0])
-        return out
-
-    def conc_at(q):
-        return entanglement.concurrence_matrix(
-            _reweighted_matrix(ens, weights_at(q))
-        )
-
-    q = _golden_section(conc_at, q_lo, q_hi, iters=200)
-    if conc_at(q) > TOLERANCES["concurrence_zero"]:
-        # monotonicity of the concurrence in q is unproven; fall back to a grid
-        grid = np.linspace(q_lo, q_hi, 1000)
-        q = min(grid, key=conc_at)
-
-    # polish: push the candidate into the interior of the separable region by
-    # maximizing the minimum partial-transpose eigenvalue locally
-    def neg_pt_at(q):
-        return -entanglement.min_pt_eigenvalue(
-            _reweighted_matrix(ens, weights_at(q)), rho.dims
-        )
-
-    lo = max(q_lo, q - 0.05 * (q_hi - q_lo))
-    hi = min(q_hi, q + 0.05 * (q_hi - q_lo))
-    q = _golden_section(neg_pt_at, lo, hi, iters=200)
-    wq = weights_at(q)
-    if conc_at(q) <= TOLERANCES["concurrence_zero"] and entanglement.ppt_separable(
-        states.reweight(ens, wq)
-    ):
-        evidence["route"] = "z1-reweighting"
-        evidence["z1_weight"] = float(q)
-        return _verified(rho, ens, wq, evidence)
-    evidence["best_concurrence"] = conc_at(q)
-    return QssVerdict(UNKNOWN, evidence=evidence)
-
-
-def _golden_section(f, lo, hi, iters=200):
-    """Golden-section minimizer for a unimodal scalar function."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-        if b - a < 1e-15:
-            break
-    return c if fc <= fd else d
+    head = lam[0] / w[0]
+    total = lam[1:].sum()
+    # 1 - w_1 as the sum of the other weights: near-pure states have
+    # w_1 = 1 - O(1e-8), where the difference would cancel badly
+    others = w[1:].sum()
+    # each end of the interval: q/w_1 lambda'_1 = s t solves linearly in q
+    ends = [t / others for t in (max(2 * lam[1:].max() - total, 0.0), total)]
+    q = float(np.mean([a / (head + a) for a in ends]))
+    wq = np.array(w, dtype=float)
+    wq[0] = q
+    wq[1:] *= (1.0 - q) / others
+    evidence["z1_weight"] = q
+    if not verify_certificate(rho, ens, wq):
+        return QssVerdict(UNKNOWN, evidence=evidence)
+    evidence["route"] = "z1-reweighting"
+    return QssVerdict(QSS, (ens, wq), evidence)
 
 
 def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
@@ -218,75 +175,62 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
 
     x = np.array([np.sqrt(w) * v for w, v in ens.members])
     floor = TOLERANCES["min_certificate_weight"]
+    target = TOLERANCES["ppt_min_eig"]
+
+    def mixing(params):
+        u = linalg.parameterized_unitary(params[: l * l], l)
+        raw = params[l * l:]
+        weights = raw * raw + floor
+        return u, weights / weights.sum()
 
     def objective(params):
-        theta = params[: l * l]
-        raw = params[l * l:]
-        u = linalg.parameterized_unitary(theta, l)
+        u, weights = mixing(params)
         z = u @ x
         norms = np.real(np.einsum("ij,ij->i", np.conj(z), z))
-        weights = raw * raw + floor
-        weights /= weights.sum()
         m = np.zeros((d, d), dtype=complex)
         for wi, zi, ni in zip(weights, z, norms):
             if ni > 1e-14:
                 m += (wi / ni) * np.outer(zi, np.conj(zi))
         m /= np.real(np.trace(m))
-        return entanglement.min_pt_eigenvalue(m, pt_dims), (u, weights)
+        return entanglement.min_pt_eigenvalue(m, pt_dims)
 
-    n_params = l * l + l
-    best_val, best_aux = -np.inf, None
+    best_val, best_theta = -np.inf, None
     evals = 0
     restart = 0
     while evals < budget:
-        r_rng = np.random.default_rng([seed, restart])
         if restart == 0:
             p = np.concatenate([np.zeros(l * l), np.ones(l)])
         else:
+            r_rng = np.random.default_rng([seed, restart])
             p = np.concatenate([
                 r_rng.uniform(-np.pi, np.pi, l * l),
                 r_rng.uniform(0.2, 1.0, l),
             ])
-        val, aux = objective(p)
-        evals += 1
-        step = 0.3
-        while step > 1e-4 and evals < budget:
-            improved = False
-            for i in range(n_params):
-                for sgn in (1.0, -1.0):
-                    q = p.copy()
-                    q[i] += sgn * step
-                    v, a = objective(q)
-                    evals += 1
-                    if v > val:
-                        p, val, aux = q, v, a
-                        improved = True
-                        break
-                    if evals >= budget:
-                        break
-                if evals >= budget:
-                    break
-            if val >= TOLERANCES["ppt_min_eig"]:
-                break
-            if not improved:
-                step *= 0.5
+        climb = linalg.pattern_search(p, budget - evals, target)
+        cand, _ = next(climb)
+        try:
+            while True:
+                cand, _ = climb.send(objective(cand))
+        except StopIteration as stop:
+            val, theta, used = stop.value
+        evals += used
         if val > best_val:
-            best_val, best_aux = val, aux
-        if best_val >= TOLERANCES["ppt_min_eig"]:
+            best_val, best_theta = val, theta
+        if best_val >= target:
             break
         restart += 1
 
     evidence["best_pt_eigenvalue"] = float(best_val)
     evidence["evaluations"] = evals
-    if best_val >= TOLERANCES["ppt_min_eig"] and best_aux is not None:
-        u, weights = best_aux
+    if best_val >= target:
+        u, weights = mixing(best_theta)
         z_ens = states.transform_ensemble(ens, u)
         if len(z_ens) == len(weights):
             evidence["route"] = "heuristic-search"
             if rho.dims[0] * int(np.prod(rho.dims[1:])) > 6:
                 evidence["separability"] = "PPT-only (necessary condition)"
             try:
-                return _verified(rho, z_ens, weights / weights.sum(), evidence)
+                return _verified(rho, z_ens, weights, evidence)
             except QsslabError:
                 pass
     return QssVerdict(UNKNOWN, evidence=evidence)

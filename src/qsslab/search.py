@@ -78,10 +78,8 @@ def outcome_success(prob, post_state: states.QuantumState) -> bool:
     if tuple(post_state.dims) == (2, 2):
         ent = entanglement.concurrence(post_state)
     else:
-        vals, vecs = np.linalg.eigh(post_state.matrix)
-        coeffs = entanglement.schmidt_coefficients(vecs[:, -1], post_state.dims)
-        ent = float(coeffs[1]) if len(coeffs) > 1 else 0.0
-    return ent >= _P_ENT
+        ent = _entanglement_witness(post_state.matrix[None], post_state.dims)[0]
+    return bool(ent >= _P_ENT)
 
 
 def score_round(rho_s, rho_a, rnd) -> float:
@@ -163,40 +161,6 @@ def _restart_seeds(rho_s, rho_a, seeds_in):
     return rounds
 
 
-def _run_restart(n, iters):
-    """Coordinate pattern search over n parameters, starting at zero.
-
-    A generator: it yields (candidate, score to beat) and is sent the
-    candidate's score; it returns (best score, best parameters,
-    evaluations). The step starts at 0.3 rad, halves after a sweep without
-    improvement and stops at 1e-4; the first improving candidate is taken;
-    at most `iters` evaluations.
-    """
-    theta = np.zeros(n)
-    best = yield theta, -np.inf
-    evals = 1
-    step = 0.3
-    while step > 1e-4 and evals < iters and best < 1.0:
-        improved = False
-        for i in range(n):
-            if evals >= iters:
-                break
-            for sgn in (1.0, -1.0):
-                cand = theta.copy()
-                cand[i] += sgn * step
-                val = yield cand, best
-                evals += 1
-                if val > best:
-                    theta, best = cand, val
-                    improved = True
-                    break
-                if evals >= iters:
-                    break
-        if not improved:
-            step *= 0.5
-    return best, theta, evals
-
-
 def _search_chunk(rho_s, rho_a, bases, iters):
     """Pattern searches around base rounds [(u_alice, u_bob), ...], run in
     lockstep: each step scores the pending candidate of every live restart
@@ -214,7 +178,7 @@ def _search_chunk(rho_s, rho_a, bases, iters):
     # and its two unitaries, of which only a side that moved is rebuilt
     last = np.full((len(bases), n), np.nan)
     units = [np.empty_like(base) for _, _, base in sides]
-    searches = [_run_restart(n, iters) for _ in bases]
+    searches = [linalg.pattern_search(np.zeros(n), iters, 1.0) for _ in bases]
     pending = [next(s) for s in searches]
     done = [None] * len(bases)
     live = np.arange(len(bases))

@@ -9,7 +9,7 @@ package builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,28 +97,6 @@ class Ensemble:
 
     def __len__(self):
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class NewState:
-    """An ensemble with replaced probabilities (Definition a reweighting)."""
-
-    base: Ensemble
-    new_weights: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        w = np.asarray(self.new_weights, dtype=float)
-        object.__setattr__(self, "new_weights", w)
-        if w.shape != (len(self.base),):
-            raise BadWeights("weight count does not match ensemble size")
-        if abs(w.sum() - 1.0) > TOLERANCES["trace_one"]:
-            raise BadWeights(f"weights sum to {w.sum()}, expected 1")
-        if np.any(w <= 0.0) or np.any(w >= 1.0 + 1e-12):
-            if len(w) > 1 or not np.isclose(w[0], 1.0):
-                raise BadWeights("weights must lie in (0, 1)")
-
-    def to_state(self):
-        return reweight(self.base, self.new_weights)
 
 
 def from_ensemble(e: Ensemble) -> QuantumState:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsslab
 from qsslab import cli, states
 from qsslab.errors import InvalidState, ParseError
 
@@ -218,3 +223,14 @@ def test_bad_workers_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("QSSLAB_WORKERS", "1")
     code, doc = cli.run_command(args)
     assert code == 0
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    env = dict(os.environ, PYTHONPATH=str(Path(qsslab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qsslab.cli",
+         "reproduce-cnot"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "reproduce-cnot"

@@ -273,3 +273,56 @@ def test_parameterized_unitary_stack_matches_single_calls(rng):
                             stack.reshape(-1, dim, dim)):
             single = linalg.parameterized_unitary(theta, dim)
             assert single.tobytes() == np.ascontiguousarray(u).tobytes()
+
+
+def _drive(search, score):
+    """Run a pattern_search generator on a score function; returns the
+    generator's result and every (candidate, score to beat) it yielded."""
+    yielded = [next(search)]
+    try:
+        while True:
+            yielded.append(search.send(score(yielded[-1][0])))
+    except StopIteration as stop:
+        return stop.value, yielded
+
+
+def test_pattern_search_start_meeting_target_takes_one_evaluation():
+    theta0 = np.array([0.5, -1.0, 2.0])
+    (best, theta, evals), yielded = _drive(
+        linalg.pattern_search(theta0, 100, 1.0), lambda t: 1.0)
+    assert (best, evals, len(yielded)) == (1.0, 1, 1)
+    assert np.array_equal(theta, theta0)
+
+
+def test_pattern_search_never_exceeds_iters():
+    def unbounded(t):
+        return float(t.sum())
+
+    def peaked(t):  # the step floor ends the search near (0.7, 0.7, 0.7)
+        return -float(np.sum((t - 0.7) ** 2))
+
+    for iters in (1, 2, 3, 7, 50, 400):
+        for score in (unbounded, peaked):
+            (best, theta, evals), yielded = _drive(
+                linalg.pattern_search(np.zeros(3), iters, np.inf), score)
+            assert evals == len(yielded) <= iters
+            assert best == score(theta)
+            if score is unbounded:
+                assert evals == iters
+
+
+def test_pattern_search_takes_first_improving_candidate():
+    # every +step move improves sum(theta): each is taken at once, and the
+    # score to beat is the score of the last candidate taken
+    (best, theta, evals), yielded = _drive(
+        linalg.pattern_search(np.zeros(2), 5, np.inf), lambda t: float(t.sum()))
+    cands = [list(c) for c, _ in yielded]
+    assert cands == [[0.0, 0.0], [0.3, 0.0], [0.3, 0.3], [0.6, 0.3], [0.6, 0.6]]
+    assert [b for _, b in yielded] == [-np.inf, 0.0, 0.3, 0.6, 0.6 + 0.3]
+    assert evals == 5 and np.array_equal(theta, [0.6, 0.6])
+    # a failed +step move is followed by the -step move of that coordinate
+    _, yielded = _drive(
+        linalg.pattern_search(np.zeros(2), 5, np.inf), lambda t: -float(t.sum()))
+    cands = [list(c) for c, _ in yielded]
+    assert cands == [[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [-0.3, 0.3],
+                     [-0.3, -0.3]]

@@ -38,6 +38,13 @@ def test_permutation_matrix_reorders_kets():
     assert np.allclose(p @ p.T, np.eye(16))
 
 
+def test_swap_matrix_is_the_factor_permutation():
+    for d in (2, 3, 4):
+        s = protocol.swap_matrix(d)
+        assert s.dtype == complex
+        assert np.array_equal(s, protocol.permutation_matrix([d, d], (1, 0)))
+
+
 def test_round_rejects_non_unitary():
     with pytest.raises(NonUnitary):
         protocol.ProtocolRound(np.ones((4, 4)), np.eye(4))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsslab import entanglement, qss, states
+from qsslab.config import TOLERANCES
 from qsslab.errors import DimensionMismatch
 from conftest import bell_projector, eq10_source, eq11_ancilla
 
@@ -104,6 +106,93 @@ def test_heuristic_search_rank_deficient_2x3(rng):
             ens, w = verdict.certificate
             assert qss.verify_certificate(rho, ens, w)
     assert found >= 1
+
+
+# (rank, seed) -> (status, best_pt_eigenvalue, evaluations) of
+# heuristic_search(random_density((2, 3), rank, seed), budget=1000, seed),
+# recorded from the search before it shared pattern_search with the
+# protocol search. Every start here is not PPT.
+HEURISTIC_GOLDEN = {
+    (2, 0): (qss.UNKNOWN, -0.05120046825415155, 1000),
+    (2, 1): (qss.UNKNOWN, -0.13527556709353925, 1000),
+    (3, 0): (qss.UNKNOWN, -0.012300100655126829, 1000),
+    (3, 5): (qss.UNKNOWN, -0.0004807907359569947, 1000),
+    (4, 1): (qss.QSS, 0.005770068875157421, 35),
+    (4, 2): (qss.QSS, 0.0008932298491554964, 37),
+    (4, 3): (qss.QSS, 0.00819729731009398, 40),
+}
+
+
+@pytest.mark.parametrize("rank, seed", sorted(HEURISTIC_GOLDEN))
+def test_heuristic_search_matches_golden(rank, seed):
+    rho = states.random_density((2, 3), rank=rank, seed=seed)
+    verdict = qss.heuristic_search(rho, budget=1000, seed=seed)
+    got = (verdict.status, verdict.evidence["best_pt_eigenvalue"],
+           verdict.evidence["evaluations"])
+    assert got == HEURISTIC_GOLDEN[rank, seed]
+    if verdict.status == qss.QSS:
+        ens, w = verdict.certificate
+        assert qss.verify_certificate(rho, ens, w)
+
+
+def test_heuristic_search_stops_at_a_ppt_start():
+    # the uniform reweighting of a rank-5 2x3 eigenbasis is already PPT
+    rho = states.random_density((2, 3), rank=5, seed=0)
+    verdict = qss.heuristic_search(rho, budget=1000, seed=0)
+    assert verdict.status == qss.QSS
+    assert verdict.evidence["evaluations"] == 1
+    ens, w = verdict.certificate
+    assert qss.verify_certificate(rho, ens, w)
+
+
+def _rank_deficient_2q(seed, rank, p):
+    """A dominant random pure state plus rank - 1 others of total weight
+    about p: small p makes lambda'_2..4 small and w_1 close to 1."""
+    rng = np.random.default_rng(seed)
+    weights = np.concatenate([[1.0], p * rng.uniform(0.1, 1.0, rank - 1)])
+    weights /= weights.sum()
+    m = sum(w * np.outer(v, np.conj(v)) for w, v in zip(
+        weights, (states.random_pure_from_rng((2, 2), rng) for _ in weights)))
+    return states.QuantumState(m, (2, 2))
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=_SEEDS, rank=st.sampled_from([2, 3]))
+def test_reweighting_rescales_lambda_spectrum(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = states.random_density_from_rng((2, 2), rng, rank=rank)
+    md = entanglement.magic_decomposition(rho)
+    ens = md.ensemble(rho.dims)
+    wq = rng.uniform(0.05, 1.0, rank)
+    wq /= wq.sum()
+    want = np.zeros(4)
+    want[:rank] = np.sort(wq / ens.weights * md.lambda_primes)[::-1]
+    got = entanglement.lambda_spectrum(states.reweight(ens, wq))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(seed=_SEEDS, rank=st.sampled_from([2, 3]),
+       log_p=st.floats(-12.0, 0.0))
+def test_entangled_rank_deficient_states_get_a_certificate(seed, rank, log_p):
+    rho = _rank_deficient_2q(seed, rank, 10.0**log_p)
+    if entanglement.concurrence(rho) <= TOLERANCES["concurrence_zero"]:
+        return
+    lam = entanglement.magic_decomposition(rho).lambda_primes
+    verdict = qss.reweight_certificate_2q(rho)
+    if np.max(lam[1:], initial=0.0) <= TOLERANCES["concurrence_zero"]:
+        assert verdict.status == qss.NOT_QSS_CANDIDATE
+        return
+    assert verdict.status == qss.QSS
+    ens, w = verdict.certificate
+    assert qss.verify_certificate(rho, ens, w)
+    if len(lam) == 3 and lam[1:].min() > 1e-6:
+        # the midpoint lies strictly inside the separable interval
+        new = entanglement.lambda_spectrum(states.reweight(ens, w))
+        assert 2 * new[0] - new.sum() < 0.0
 
 
 def test_classify_maximally_mixed():

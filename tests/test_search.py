@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsslab import protocol, qss, search, states
+from qsslab import entanglement, protocol, qss, search, states
 from qsslab.errors import BadParameters
 from conftest import eq10_source, eq11_ancilla
 
@@ -42,6 +42,27 @@ def test_optimize_finds_swap_via_seed():
     rep = search.optimize_protocol(rho_s, rho_a, restarts=4, iters=50, seed=0)
     assert rep.success
     assert abs(rep.best_outcome.probability - 1.0) <= 1e-6
+
+
+def test_outcome_success_on_2x3_posts_matches_schmidt_route(rng):
+    def schmidt_route(prob, post):  # the predicate's former 2x3 branch
+        if prob <= 1e-6 or states.purity(post) < 1.0 - 1e-6:
+            return False
+        vecs = np.linalg.eigh(post.matrix)[1]
+        coeffs = entanglement.schmidt_coefficients(vecs[:, -1], post.dims)
+        return float(coeffs[1]) >= 1e-3
+
+    product = np.kron(states.ket(0, 2), states.random_pure_from_rng((3,), rng))
+    near_product = product + 5e-4 * states.random_pure_from_rng((2, 3), rng)
+    posts = [
+        states.pure_state(states.random_pure_from_rng((2, 3), rng), (2, 3)),
+        states.pure_state(product, (2, 3)),
+        states.pure_state(near_product / np.linalg.norm(near_product), (2, 3)),
+        states.random_density_from_rng((2, 3), rng, rank=2),
+    ]
+    got = [search.outcome_success(0.5, post) for post in posts]
+    assert got == [schmidt_route(0.5, post) for post in posts]
+    assert got[0] and not got[1]
 
 
 def test_optimize_rejects_bad_restarts():
