@@ -41,7 +41,9 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -295,9 +297,12 @@ def _dispatch(args, seed, workers):
 
 
 def run_command(argv):
-    """Parse argv, run the subcommand, return (exit_code, report)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; argv is an argument list or the Namespace that
+    build_parser already parsed from one. Returns (exit_code, report)."""
+    if isinstance(argv, argparse.Namespace):
+        args = argv
+    else:
+        args = build_parser().parse_args(argv)
     seed = None  # reported as null when --seed itself is bad
     try:
         seed = _parse_seed(args.seed)
@@ -313,11 +318,9 @@ def run_command(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    # parse once up front so --help and bad flags exit the usual way
-    args = parser.parse_args(argv)
-    code, doc = run_command(argv)
+    # --help and bad flags exit the usual argparse way, before any report
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    code, doc = run_command(args)
     write_report(doc, args.out)
     return code
 

@@ -33,43 +33,40 @@ def _check_two_qubit(rho: states.QuantumState):
         raise DimensionMismatch(f"expected a 2x2 system, got dims {rho.dims}")
 
 
-def lambda_spectrum(rho: states.QuantumState):
+def lambda_spectrum(rho):
     """Descending square roots of the eigenvalues of rho * rho~.
 
-    Computed through the Hermitian form sqrt(rho) rho~ sqrt(rho), which has
-    the same spectrum and a stable eigensolve.
+    rho is a two-qubit QuantumState or a stack of 4x4 density matrices of
+    shape (..., 4, 4), which gives one spectrum per matrix. Computed
+    through the Hermitian form sqrt(rho) rho~ sqrt(rho), which has the
+    same spectrum and a stable eigensolve.
     """
-    _check_two_qubit(rho)
-    m = rho.matrix
-    vals, vecs = np.linalg.eigh(m)
-    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ np.conj(vecs.T)
-    rho_tilde = Y2 @ np.conj(m) @ Y2
-    herm = sqrt_rho @ rho_tilde @ sqrt_rho
-    herm = (herm + np.conj(herm.T)) / 2
-    ev = np.clip(np.linalg.eigvalsh(herm), 0.0, None)
+    if isinstance(rho, states.QuantumState):
+        _check_two_qubit(rho)
+        rho = rho.matrix
+    vals, vecs = np.linalg.eigh(rho)
+    # eigenvalues below the rank cutoff are eigensolver noise; their square
+    # roots would leak into the spectrum of a rank-deficient rho
+    vals[vals < TOLERANCES["rank_cutoff_rel"] * vals[..., -1:]] = 0.0
+    sqrt_rho = (vecs * np.sqrt(vals)[..., None, :]) @ linalg.dagger(vecs)
+    herm = sqrt_rho @ (Y2 @ np.conj(rho) @ Y2) @ sqrt_rho
+    ev = np.linalg.eigvalsh((herm + linalg.dagger(herm)) / 2)
     # kill eigensolver noise before the sqrt amplifies it
-    ev[ev < max(1e-16, 1e-14 * ev[-1])] = 0.0
-    return np.sqrt(ev)[::-1]
+    ev[ev < np.maximum(1e-16, 1e-14 * ev[..., -1:])] = 0.0
+    return np.sqrt(ev)[..., ::-1]
 
 
 def concurrence(rho: states.QuantumState) -> float:
-    lam = lambda_spectrum(rho)
-    return float(max(0.0, lam[0] - lam[1:].sum()))
+    _check_two_qubit(rho)
+    return concurrence_matrix(rho.matrix)
 
 
 def concurrence_matrix(m):
-    """Concurrence straight from 4x4 density matrices (fast scoring path).
-
-    m has shape (..., 4, 4). A single matrix gives a float, a stack an
-    array; each entry is bitwise what a single call returns, since the
-    eigensolver still runs one matrix at a time.
-    """
-    ev = np.abs(np.real(np.linalg.eigvals(m @ (Y2 @ np.conj(m) @ Y2))))
-    ev[ev < np.maximum(1e-16, 1e-14 * ev.max(axis=-1, keepdims=True))] = 0.0
-    lam = np.sqrt(ev)
-    lam.sort(axis=-1)
-    l0, l1, l2, l3 = lam.T  # ascending
-    gap = (l3 - (l2 + l1 + l0)).T
+    """Concurrence max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) of 4x4
+    density matrices, shape (..., 4, 4): a float for a single matrix, an
+    array for a stack."""
+    lam = lambda_spectrum(m)
+    gap = lam[..., 0] - lam[..., 1:].sum(axis=-1)
     if gap.ndim == 0:
         return float(max(0.0, gap))
     return np.where(gap > 0.0, gap, 0.0)
@@ -120,21 +117,8 @@ def magic_decomposition(rho: states.QuantumState) -> MagicDecomposition:
             phase = np.exp(-0.5j * np.angle(diag))
             z[i] = phase * z[i]
             u[i] = phase * u[i]
-    order = _tie_broken_order(d, z)
-    return MagicDecomposition(
-        z_states=tuple(z[i] for i in order),
-        lambda_primes=d[order],
-        transform=u[order],
-    )
-
-
-def _tie_broken_order(d, z):
-    """Descending by lambda'; ties broken lexicographically on z entries."""
-    keys = []
-    for i in range(len(d)):
-        entry = np.round(np.concatenate([z[i].real, z[i].imag]), 12)
-        keys.append((-np.round(d[i], 9), tuple(entry)))
-    return sorted(range(len(d)), key=lambda i: keys[i])
+    # takagi returns d descending, so z and lambda' are already in order
+    return MagicDecomposition(z_states=tuple(z), lambda_primes=d, transform=u)
 
 
 def ppt_separable(rho: states.QuantumState) -> bool:

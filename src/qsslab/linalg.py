@@ -31,7 +31,8 @@ def kron(a, b):
 
 
 def dagger(m):
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def is_unitary(u, tol=TOLERANCES["unitary"]):

@@ -70,15 +70,13 @@ def _entanglement_witness(posts, dims):
 
 
 def outcome_success(prob, post_state: states.QuantumState) -> bool:
-    """The exact success predicate, with the careful concurrence route."""
+    """The exact success predicate, with the entanglement witness that
+    scores an outcome."""
     if post_state is None or prob <= _P_PROB:
         return False
     if states.purity(post_state) < 1.0 - _P_PURITY:
         return False
-    if tuple(post_state.dims) == (2, 2):
-        ent = entanglement.concurrence(post_state)
-    else:
-        ent = _entanglement_witness(post_state.matrix[None], post_state.dims)[0]
+    ent = _entanglement_witness(post_state.matrix[None], post_state.dims)[0]
     return bool(ent >= _P_ENT)
 
 

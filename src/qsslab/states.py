@@ -18,6 +18,13 @@ from .config import TOLERANCES
 from .errors import BadWeights, DimensionMismatch, InvalidState, NotIsometry
 
 
+def _positive_dims(dims):
+    out = tuple(int(d) for d in dims)
+    if not out or min(out) < 1 or list(out) != list(dims):
+        raise InvalidState(f"dims: {dims!r} is not a list of positive integers")
+    return out
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Density matrix plus its subsystem dimensions."""
@@ -28,7 +35,7 @@ class QuantumState:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _positive_dims(self.dims))
         d = int(np.prod(self.dims))
         if m.ndim != 2 or m.shape != (d, d):
             raise InvalidState(
@@ -71,7 +78,7 @@ class Ensemble:
             (float(w), np.asarray(v, dtype=complex)) for w, v in self.members
         )
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _positive_dims(self.dims))
         d = int(np.prod(self.dims))
         total = 0.0
         for w, v in members:
@@ -248,9 +255,16 @@ def complex_to_pairs(arr):
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
+# what parsing a malformed JSON document can raise besides InvalidState
+_MALFORMED = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+
+
 def pairs_to_complex(data):
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    try:
+        arr = np.asarray(data, dtype=float)
+    except _MALFORMED as exc:
+        raise InvalidState(f"format: {exc}") from exc
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise InvalidState("format: complex entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -261,11 +275,9 @@ def state_to_dict(rho: QuantumState) -> dict:
 
 def state_from_dict(data) -> QuantumState:
     try:
-        dims = data["dims"]
-        matrix = pairs_to_complex(data["matrix"])
-    except (KeyError, TypeError, IndexError) as exc:
+        return QuantumState(pairs_to_complex(data["matrix"]), data["dims"])
+    except _MALFORMED as exc:
         raise InvalidState(f"format: {exc}") from exc
-    return QuantumState(matrix, dims)
 
 
 def ensemble_to_dict(e: Ensemble) -> dict:
@@ -279,10 +291,9 @@ def ensemble_to_dict(e: Ensemble) -> dict:
 
 def ensemble_from_dict(data) -> Ensemble:
     try:
-        dims = data["dims"]
         members = tuple(
             (m["weight"], pairs_to_complex(m["vector"])) for m in data["members"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+        return Ensemble(members, data["dims"])
+    except _MALFORMED as exc:
         raise InvalidState(f"format: {exc}") from exc
-    return Ensemble(members, dims)

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qsslab
 from qsslab import cli, states
@@ -234,3 +236,121 @@ def test_module_entry_point_runs_without_runpy_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "reproduce-cnot"
+
+
+def test_qss_command_on_a_pure_product_state(tmp_path):
+    # eigensolver noise in its zero eigenvalues must not fail its certificate
+    rng = np.random.default_rng([21, 14])
+    a = states.random_pure_from_rng((2,), rng)
+    b = states.random_pure_from_rng((2,), rng)
+    path = write_state(tmp_path, "product.json", states.pure_state(np.kron(a, b)))
+    out = tmp_path / "report.json"
+    assert cli.main(["--out", str(out), "qss", "--state", path]) == 0
+    assert json.loads(out.read_text())["results"]["status"] == "QSS"
+
+
+def _write_bytes(data):
+    """A fresh file holding data; returns the path and its directory."""
+    tmp = tempfile.TemporaryDirectory()
+    path = os.path.join(tmp.name, "input.json")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path, tmp
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_DIMS = st.sampled_from([(2,), (2, 2), (2, 3), (3, 2)])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=_SEEDS, dims=_DIMS, rank=st.integers(1, 6),
+       as_ensemble=st.booleans())
+def test_load_state_round_trips(seed, dims, rank, as_ensemble):
+    rng = np.random.default_rng(seed)
+    rho = states.random_density_from_rng(
+        dims, rng, rank=min(rank, int(np.prod(dims)))
+    )
+    obj = states.spectral_ensemble(rho) if as_ensemble else rho
+    to_dict = states.ensemble_to_dict if as_ensemble else states.state_to_dict
+    path, tmp = _write_bytes(json.dumps(to_dict(obj)).encode())
+    with tmp:
+        back = cli.load_state(path)
+    assert type(back) is type(obj)
+    assert back.dims == obj.dims
+    if as_ensemble:
+        assert len(back) == len(obj)
+        for (w, v), (w0, v0) in zip(back.members, obj.members):
+            assert w == w0 and np.array_equal(v, v0)
+    else:
+        assert np.array_equal(back.matrix, rho.matrix)
+
+
+# JSON values too small to spell a unit vector of 4 or more entries, let
+# alone a state, so no bipartite document they are put in can be valid
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["dims", "matrix", "members", "weight",
+                                       "vector", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _positive_int_list(value):
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(d, (int, float)) and d == d and abs(d) != float("inf")
+        and int(d) == d >= 1
+        for d in value
+    )
+
+
+@st.composite
+def _malformed_file(draw):
+    """Bytes of a file that no loader may accept."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    rho = states.random_density(dims, seed=draw(_SEEDS))
+    ens = states.spectral_ensemble(rho)
+    valid = states.state_to_dict(rho)
+    kind = draw(st.sampled_from(
+        ["truncated", "bad-utf8", "not-an-object", "no-known-key", "dims",
+         "matrix", "members", "weight", "vector"]
+    ))
+    text = json.dumps(valid)
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "bad-utf8":
+        at = draw(st.integers(0, len(text)))
+        return text[:at].encode() + b"\xff" + text[at:].encode()
+    if kind == "not-an-object":
+        return json.dumps(draw(_JUNK.filter(
+            lambda v: not isinstance(v, dict)))).encode()
+    if kind == "no-known-key":
+        junk = draw(st.dictionaries(st.text(max_size=6), _JUNK, max_size=3))
+        assume("matrix" not in junk and "members" not in junk)
+        return json.dumps(junk).encode()
+    junk = draw(_JUNK)
+    if kind in ("dims", "matrix"):
+        if kind == "dims":
+            assume(not _positive_int_list(junk))
+        valid[kind] = junk
+        return json.dumps(valid).encode()
+    doc = states.ensemble_to_dict(ens)
+    if kind == "members":
+        doc["members"] = junk
+    else:
+        member = doc["members"][draw(st.integers(0, len(ens) - 1))]
+        assume(junk != member[kind])
+        member[kind] = junk
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=_malformed_file())
+def test_malformed_state_files_exit_2(data):
+    path, tmp = _write_bytes(data)
+    with tmp:
+        for command in ("ppt", "concurrence"):
+            code, doc = cli.run_command([command, "--state", path])
+            assert code == 2, doc
+            assert "error" in doc["results"]

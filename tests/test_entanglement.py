@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsslab import entanglement, linalg, states
+from qsslab import entanglement, linalg, qss, states
 from qsslab.errors import DimensionMismatch
 from conftest import bell_projector
 
@@ -195,8 +195,52 @@ def test_concurrence_matrix_stack_matches_single_calls(rng):
     ]).reshape(3, 4, 4, 4)
     stack = entanglement.concurrence_matrix(ms)
     assert stack.shape == (3, 4)
-    for m, c in zip(ms.reshape(-1, 4, 4), stack.ravel()):
+    spectra = entanglement.lambda_spectrum(ms)
+    assert spectra.shape == (3, 4, 4)
+    for m, c, lam in zip(ms.reshape(-1, 4, 4), stack.ravel(),
+                         spectra.reshape(-1, 4)):
         single = entanglement.concurrence_matrix(m)
         assert isinstance(single, float)
         assert single == c
-        assert abs(single - entanglement.concurrence(states.QuantumState(m))) <= 1e-7
+        # one spin-flip spectrum behind the score and the success paths
+        assert single == entanglement.concurrence(states.QuantumState(m))
+        assert np.array_equal(lam, entanglement.lambda_spectrum(m))
+        assert single == max(0.0, lam[0] - lam[1:].sum())
+
+
+def _pure_product(seed):
+    rng = np.random.default_rng([21, seed])
+    a = states.random_pure_from_rng((2,), rng)
+    b = states.random_pure_from_rng((2,), rng)
+    return states.pure_state(np.kron(a, b))
+
+
+def test_pure_product_states_are_certified_separable():
+    # rho's zero eigenvalues come out of eigh as noise of either sign;
+    # their square roots must not reach the spectrum or the certificate
+    for seed in range(1000):
+        rho = _pure_product(seed)
+        assert entanglement.concurrence(rho) == 0.0
+        verdict = qss.classify(rho)
+        assert verdict.status == qss.QSS
+        assert qss.verify_certificate(rho, *verdict.certificate)
+
+
+def _near_pure(seed):
+    """Weight 1 - eps on one Haar column, eps spread over 1 or 2 more."""
+    rng = np.random.default_rng([9, seed])
+    rank = int(rng.integers(2, 4))
+    u = linalg.haar_unitary_from_rng(4, rng)
+    eps = 10.0 ** rng.uniform(-9, 0)
+    w = np.concatenate([[1 - eps], np.full(rank - 1, eps / (rank - 1))])
+    m = (u[:, :rank] * w) @ np.conj(u[:, :rank].T)
+    return states.QuantumState(m, (2, 2))
+
+
+def test_magic_decomposition_lambda_primes_descend_on_near_pure_states():
+    # seeds 205 and 326 hold two lambda' within 1e-9 of each other
+    for seed in range(400):
+        md = entanglement.magic_decomposition(_near_pure(seed))
+        assert np.all(np.diff(md.lambda_primes) <= 0.0), seed
+        table = magic_overlap_table(md)
+        assert np.max(np.abs(np.diag(table) - md.lambda_primes)) <= 1e-9

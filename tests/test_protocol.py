@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsslab import entanglement, linalg, protocol, states
 from qsslab.errors import BadParameters, NonUnitary, ZeroProbability
@@ -132,16 +133,25 @@ def test_cnot_example_rejects_bad_parameters():
         protocol.cnot_example(0.5, 1.0)
 
 
-def test_probability_completeness_random(rng):
-    for _ in range(20):
-        rho_s = states.random_density_from_rng((2, 2), rng)
-        rho_a = states.random_density_from_rng((2, 2), rng)
-        rnd = protocol.ProtocolRound(
-            linalg.haar_unitary_from_rng(4, rng),
-            linalg.haar_unitary_from_rng(4, rng),
-        )
-        total = sum(o.probability for o in protocol.run_round(rho_s, rho_a, rnd))
-        assert abs(total - 1.0) <= 1e-9
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims_s=st.sampled_from([(2, 2), (2, 3)]),
+       dims_a=st.sampled_from([(2, 2), (2, 3)]),
+       rank=st.integers(1, 6))
+def test_probability_completeness_random(seed, dims_s, dims_a, rank):
+    rng = np.random.default_rng(seed)
+    rho_s = states.random_density_from_rng(
+        dims_s, rng, rank=min(rank, dims_s[0] * dims_s[1])
+    )
+    rho_a = states.random_density_from_rng(dims_a, rng)
+    rnd = protocol.ProtocolRound(
+        linalg.haar_unitary_from_rng(dims_s[0] * dims_a[0], rng),
+        linalg.haar_unitary_from_rng(dims_s[1] * dims_a[1], rng),
+    )
+    outcomes = protocol.run_round(rho_s, rho_a, rnd)
+    assert len(outcomes) == dims_a[0] * dims_a[1]
+    assert all(o.probability >= 0.0 for o in outcomes)
+    assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-9
 
 
 def test_apply_local_filter_identity():
