@@ -66,6 +66,13 @@ def _load_density(path) -> states.QuantumState:
     return obj
 
 
+def _load_two_qubit(path, command) -> states.QuantumState:
+    rho = _load_density(path)
+    if tuple(rho.dims) != (2, 2):
+        raise BadParameters(f"{command} needs a 2x2 state, got dims {rho.dims}")
+    return rho
+
+
 def _load_matrix(path):
     data = _load_json(path)
     if isinstance(data, dict) and "matrix" in data:
@@ -214,12 +221,12 @@ def _dispatch(args, seed, workers):
         verdict = qss.classify(rho, budget=args.budget, seed=seed)
         return {"state": args.state, "budget": args.budget}, verdict.to_dict()
     if cmd == "concurrence":
-        rho = _load_density(args.state)
+        rho = _load_two_qubit(args.state, cmd)
         return {"state": args.state}, {
             "concurrence": entanglement.concurrence(rho)
         }
     if cmd == "magic":
-        rho = _load_density(args.state)
+        rho = _load_two_qubit(args.state, cmd)
         md = entanglement.magic_decomposition(rho)
         return {"state": args.state}, {
             "lambda_primes": md.lambda_primes.tolist(),

@@ -61,12 +61,30 @@ def concurrence(rho: states.QuantumState) -> float:
     return concurrence_matrix(rho.matrix)
 
 
+# rho^T_B of a two-qubit state has at most one negative eigenvalue, and it
+# has one exactly when rho is entangled (Sanpera, Tarrach and Vidal 1998,
+# PRA 58, 826). One negative eigenvalue and three non-negative ones give
+# det(rho^T_B) <= 0, so det(rho^T_B) > 0 leaves none: rho is separable and
+# its concurrence is 0. For unit-trace input the computed det is off by
+# about 1e-15, so a computed det above this constant has a positive exact det.
+SEPARABLE_DET = 1e-12
+
+
 def concurrence_matrix(m):
     """Concurrence max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) of 4x4
     density matrices, shape (..., 4, 4): a float for a single matrix, an
-    array for a stack."""
-    lam = lambda_spectrum(m)
-    gap = lam[..., 0] - lam[..., 1:].sum(axis=-1)
+    array for a stack.
+
+    A matrix whose partial transpose has det above SEPARABLE_DET is
+    separable and gets 0.0 without a spin-flip spectrum.
+    """
+    m = np.asarray(m)
+    det = np.linalg.det(linalg.partial_transpose(m, (2, 2))).real
+    gap = np.zeros(det.shape)
+    unscreened = ~(det > SEPARABLE_DET)  # NaN stays on the spectrum route
+    if unscreened.any():
+        lam = lambda_spectrum(m[unscreened])
+        gap[unscreened] = lam[..., 0] - lam[..., 1:].sum(axis=-1)
     if gap.ndim == 0:
         return float(max(0.0, gap))
     return np.where(gap > 0.0, gap, 0.0)

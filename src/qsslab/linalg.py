@@ -123,21 +123,22 @@ def partial_trace(m, dims, keep):
 
 
 def partial_transpose(m, dims, side="B"):
-    """Partial transpose of a bipartite operator on dims = (d_A, d_B)."""
+    """Partial transpose of a bipartite operator on dims = (d_A, d_B), or
+    of each operator of a stack of shape (..., d_A d_B, d_A d_B)."""
     m = np.asarray(m, dtype=complex)
     da, db = dims
-    if m.shape != (da * db, da * db):
+    if m.shape[-2:] != (da * db, da * db):
         raise DimensionMismatch(
             f"matrix shape {m.shape} does not match dims {dims}"
         )
-    t = m.reshape(da, db, da, db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
     if side == "A":
-        t = t.transpose(2, 1, 0, 3)
+        t = t.swapaxes(-4, -2)
     elif side == "B":
-        t = t.transpose(0, 3, 2, 1)
+        t = t.swapaxes(-3, -1)
     else:
         raise DimensionMismatch(f"side must be 'A' or 'B', got {side!r}")
-    return t.reshape(da * db, da * db)
+    return t.reshape(m.shape)
 
 
 def haar_unitary(dim, seed):

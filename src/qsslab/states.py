@@ -88,6 +88,8 @@ class Ensemble:
                 raise InvalidState(
                     f"dims: vector shape {v.shape} does not match dims"
                 )
+            if not np.all(np.isfinite(v)):
+                raise InvalidState("finite: member vector contains NaN or Inf")
             if abs(np.linalg.norm(v) - 1.0) > TOLERANCES["trace_one"]:
                 raise InvalidState("norm: member vector is not unit norm")
             total += w

@@ -102,6 +102,14 @@ def test_magic_command(tmp_path):
     assert len(doc["results"]["lambda_primes"]) == 4
 
 
+@pytest.mark.parametrize("command", ["concurrence", "magic"])
+def test_two_qubit_commands_on_a_2x3_state_exit_2(tmp_path, command):
+    path = write_state(tmp_path, "r23.json", states.random_density((2, 3), 4))
+    code, doc = cli.run_command([command, "--state", path])
+    assert code == 2
+    assert "2x2" in doc["results"]["error"]
+
+
 def test_simulate_command(tmp_path):
     s = write_state(tmp_path, "s.json",
                     states.pure_state(states.basis_ket((0, 0), (2, 2))))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsslab import entanglement, linalg, qss, states
 from qsslab.errors import DimensionMismatch
@@ -244,3 +245,67 @@ def test_magic_decomposition_lambda_primes_descend_on_near_pure_states():
         assert np.all(np.diff(md.lambda_primes) <= 0.0), seed
         table = magic_overlap_table(md)
         assert np.max(np.abs(np.diag(table) - md.lambda_primes)) <= 1e-9
+
+
+def _local_rotation(m, rng):
+    u = np.kron(linalg.haar_unitary_from_rng(2, rng),
+                linalg.haar_unitary_from_rng(2, rng))
+    return u @ m @ np.conj(u.T)
+
+
+def _screen_case(rng):
+    """A two-qubit density matrix near where the determinant screen acts:
+    rank 1-4, Werner within 1e-3 of p = 1/3, or near-product pure."""
+    kind = rng.integers(3)
+    if kind == 0:
+        rank = int(rng.integers(1, 5))
+        m = states.random_density_from_rng((2, 2), rng, rank=rank).matrix
+    elif kind == 1:
+        delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -3)
+        m = states.werner(1 / 3 + delta).matrix
+    else:
+        a = states.random_pure_from_rng((2,), rng)
+        b = states.random_pure_from_rng((2,), rng)
+        psi = np.kron(a, b) + 10.0 ** rng.uniform(-9, -1) * (
+            states.random_pure_from_rng((2, 2), rng)
+        )
+        psi /= np.linalg.norm(psi)
+        m = np.outer(psi, np.conj(psi))
+    return _local_rotation(m, rng)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16))
+def test_screened_concurrence_matches_the_spectrum_gap(seed, n):
+    rng = np.random.default_rng(seed)
+    ms = np.array([_screen_case(rng) for _ in range(n)])
+    stack = entanglement.concurrence_matrix(ms)
+    spectra = entanglement.lambda_spectrum(ms)
+    for m, c, lam in zip(ms, stack, spectra):
+        want = max(0.0, lam[0] - lam[1:].sum())
+        assert c == want
+        single = entanglement.concurrence_matrix(m)
+        assert isinstance(single, float)
+        assert single == want
+
+
+def test_separable_states_skip_the_spin_flip_spectrum(rng, monkeypatch):
+    def refuse(m):
+        raise AssertionError("the determinant screen should have caught it")
+
+    ms = [np.eye(4) / 4, states.werner(0.3).matrix, states.werner(-0.2).matrix]
+    for _ in range(9):
+        rho_a = states.random_density_from_rng((2,), rng).matrix
+        rho_b = states.random_density_from_rng((2,), rng).matrix
+        ms.append(_local_rotation(np.kron(rho_a, rho_b), rng))
+        ms.append(_local_rotation(states.werner(rng.uniform(0, 0.3)).matrix, rng))
+    ms = np.array(ms)
+    monkeypatch.setattr(entanglement, "lambda_spectrum", refuse)
+    stack = entanglement.concurrence_matrix(ms.reshape(3, 7, 4, 4))
+    assert stack.shape == (3, 7)
+    assert np.array_equal(stack, np.zeros((3, 7)))
+    for m in ms:
+        assert entanglement.concurrence(states.QuantumState(m)) == 0.0
+    # an entangled state still takes the spectrum route
+    with pytest.raises(AssertionError, match="screen"):
+        entanglement.concurrence_matrix(states.werner(0.4).matrix)

@@ -207,6 +207,22 @@ def test_partial_transpose_involution(rng):
     assert abs(np.trace(linalg.partial_transpose(m, (2, 3), "A")) - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_partial_transpose_stack_matches_single_calls(rng, side):
+    ms = np.array([
+        states.random_density_from_rng((2, 3), rng).matrix for _ in range(6)
+    ]).reshape(2, 3, 6, 6)
+    stack = linalg.partial_transpose(ms, (2, 3), side)
+    assert stack.shape == ms.shape
+    for m, pt in zip(ms.reshape(-1, 6, 6), stack.reshape(-1, 6, 6)):
+        assert np.array_equal(pt, linalg.partial_transpose(m, (2, 3), side))
+    # the partial transposes on A and on B differ by a full transpose
+    other = linalg.partial_transpose(ms, (2, 3), "B" if side == "A" else "A")
+    assert np.array_equal(stack, np.swapaxes(other, -1, -2))
+    with pytest.raises(DimensionMismatch):
+        linalg.partial_transpose(ms, (3, 3), side)
+
+
 def test_haar_unitary_dim_one():
     u = linalg.haar_unitary(1, seed=3)
     assert u.shape == (1, 1)

@@ -176,6 +176,16 @@ def test_state_invariants_rejected():
         states.QuantumState(np.eye(4) / 4, (2, 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_ensemble_rejects_non_finite_members(bad):
+    # abs(norm - 1) > tol is false for NaN, so the norm check alone lets it in
+    vector = np.array([bad, 0, 0, 0], dtype=complex)
+    with pytest.raises(InvalidState, match="finite"):
+        states.Ensemble(((1.0, vector),), (2, 2))
+    with pytest.raises(InvalidState):
+        states.Ensemble(((np.real(bad), states.PHI_PLUS),), (2, 2))
+
+
 def test_json_roundtrip(rng):
     rho = states.random_density_from_rng((2, 2), rng)
     data = json.loads(json.dumps(states.state_to_dict(rho)))
