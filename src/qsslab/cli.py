@@ -147,6 +147,8 @@ def _default_workers():
             raise BadParameters(
                 f"QSSLAB_WORKERS must be an integer, got {env!r}"
             ) from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

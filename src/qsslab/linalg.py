@@ -209,36 +209,55 @@ def parameterized_unitary(theta, dim):
     return u
 
 
-def pattern_search(theta0, iters, target):
+def pattern_search(theta0, iters, target, lookahead=1):
     """Coordinate pattern search that maximizes a score, starting at theta0.
 
-    A generator: it yields (candidate, score to beat) and is sent the
-    candidate's score; it returns (best score, best parameters,
-    evaluations). The step starts at 0.3, halves after a sweep without
-    improvement and stops at 1e-4; the first improving candidate is taken;
-    at most `iters` evaluations; it stops as soon as the best score
-    reaches `target`, the start included.
+    A generator: it yields runs (a list of k candidates, score to beat)
+    and is sent the run's k scores; it returns (best score, best
+    parameters, evaluations). The first run is theta0 alone; each later
+    run is the next (at most) `lookahead` candidates the climb would try
+    if none of them improved. The climb reads a run's scores in order up
+    to and including its first improvement and discards the rest, which
+    are not evaluations, so its decisions, result and the candidates it
+    reads do not depend on `lookahead`.
+
+    A sweep tries +step, then -step on each coordinate in turn; the first
+    improving candidate is taken and the sweep goes on with the next
+    coordinate. The step starts at 0.3 and halves after a sweep without
+    improvement. The climb stops after `iters` evaluations, when the step
+    falls to 1e-4 or below, or when the best score is at or above
+    `target` at the start (theta0 included) or the end of a sweep; a
+    target reached mid-sweep finishes that sweep first.
     """
     theta = np.asarray(theta0, dtype=float)
-    best = yield theta, -np.inf
+    sweep = 2 * len(theta)  # move m steps coordinate m // 2, up for even m
+    best = (yield [theta], -np.inf)[0]
     evals = 1
-    step = 0.3
-    while step > 1e-4 and evals < iters and best < target:
-        improved = False
-        for i in range(len(theta)):
-            if evals >= iters:
+    # the next move, its step and whether its sweep has improved; the climb
+    # starts at the end of an improving sweep, so its first step is 0.3
+    step, move, improved = 0.3, sweep, True
+    while True:
+        cands, moves = [], []
+        room = min(lookahead, iters - evals)
+        while len(cands) < room:
+            if move == sweep:
+                if not improved:
+                    step *= 0.5
+                if step <= 1e-4 or best >= target:
+                    break
+                move, improved = 0, False
+                continue
+            cand = theta.copy()
+            cand[move // 2] += -step if move % 2 else step
+            cands.append(cand)
+            moves.append((step, move))
+            move += 1
+        if not cands:
+            return best, theta, evals
+        vals = yield cands, best
+        for cand, (s, m), val in zip(cands, moves, vals):
+            evals += 1
+            if val > best:
+                theta, best = cand, val
+                step, move, improved = s, m - m % 2 + 2, True
                 break
-            for sgn in (1.0, -1.0):
-                cand = theta.copy()
-                cand[i] += sgn * step
-                val = yield cand, best
-                evals += 1
-                if val > best:
-                    theta, best = cand, val
-                    improved = True
-                    break
-                if evals >= iters:
-                    break
-        if not improved:
-            step *= 0.5
-    return best, theta, evals

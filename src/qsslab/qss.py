@@ -207,10 +207,10 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
                 r_rng.uniform(0.2, 1.0, l),
             ])
         climb = linalg.pattern_search(p, budget - evals, target)
-        cand, _ = next(climb)
+        run, _ = next(climb)
         try:
             while True:
-                cand, _ = climb.send(objective(cand))
+                run, _ = climb.send([objective(run[0])])
         except StopIteration as stop:
             val, theta, used = stop.value
         evals += used

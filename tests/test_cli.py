@@ -235,6 +235,16 @@ def test_bad_workers_exit_2(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("QSSLAB_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert cli._default_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._default_workers() == 8
+
+
 def test_module_entry_point_runs_without_runpy_warning():
     env = dict(os.environ, PYTHONPATH=str(Path(qsslab.__file__).parent.parent))
     proc = subprocess.run(

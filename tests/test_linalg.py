@@ -1,5 +1,8 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsslab import linalg, states
 from qsslab.errors import (
@@ -292,14 +295,22 @@ def test_parameterized_unitary_stack_matches_single_calls(rng):
 
 
 def _drive(search, score):
-    """Run a pattern_search generator on a score function; returns the
-    generator's result and every (candidate, score to beat) it yielded."""
-    yielded = [next(search)]
+    """Run a pattern_search generator on a score function, scoring every
+    candidate of each run; returns the generator's result and every
+    (candidate, score to beat) the climb read: a run's candidates up to
+    and including its first improvement."""
+    read = []
+    runs, bar = next(search)
     try:
         while True:
-            yielded.append(search.send(score(yielded[-1][0])))
+            vals = [score(c) for c in runs]
+            for c, v in zip(runs, vals):
+                read.append((c, bar))
+                if v > bar:
+                    break
+            runs, bar = search.send(vals)
     except StopIteration as stop:
-        return stop.value, yielded
+        return stop.value, read
 
 
 def test_pattern_search_start_meeting_target_takes_one_evaluation():
@@ -342,3 +353,58 @@ def test_pattern_search_takes_first_improving_candidate():
     cands = [list(c) for c, _ in yielded]
     assert cands == [[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [-0.3, 0.3],
                      [-0.3, -0.3]]
+
+
+def test_pattern_search_target_is_checked_between_sweeps():
+    # the score reaches the target on evaluation 2, mid-sweep; the climb
+    # finishes the sweep (two moves on each later coordinate) and stops
+    for lookahead in (1, 4):
+        (best, theta, evals), read = _drive(
+            linalg.pattern_search(np.zeros(3), 100, 1.0, lookahead),
+            lambda t: 1.0 if t[0] > 0 else 0.0)
+        assert (best, evals, len(read)) == (1.0, 6, 6)
+        assert np.array_equal(theta, [0.3, 0.0, 0.0])
+
+
+def _level_score(levels, seed):
+    """A score with plateaus and ties: each candidate's bytes pick one of
+    `levels` values."""
+    def score(t):
+        return float(levels[zlib.crc32(t.tobytes(), seed) % len(levels)])
+    return score
+
+
+def _slope_score(weights, quantum):
+    """A linear score rounded to `quantum`: flat within a cell, so moves
+    tie until a step crosses a cell edge."""
+    def score(t):
+        return float(np.round(weights @ t / quantum) * quantum)
+    return score
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    n=st.integers(0, 5),
+    iters=st.one_of(st.sampled_from([1, 2, 3, 400]),
+                    st.integers(2, 30).map(lambda k: 2 * k + 1)),
+    target=st.sampled_from([np.inf, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["levels", "slope"]),
+)
+def test_pattern_search_lookahead_reads_the_same_climb(n, iters, target, seed,
+                                                        kind):
+    rng = np.random.default_rng(seed)
+    if kind == "levels":
+        score = _level_score(rng.choice([0.0, 0.25, 0.5, 1.0], 3), seed)
+    else:
+        score = _slope_score(rng.normal(size=n), rng.choice([0.05, 0.3, 1.0]))
+    theta0 = rng.uniform(-1.0, 1.0, n)
+    one, read_one = _drive(linalg.pattern_search(theta0, iters, target), score)
+    four, read_four = _drive(
+        linalg.pattern_search(theta0, iters, target, 4), score)
+    assert one[0] == four[0] and one[2] == four[2]
+    assert one[1].tobytes() == four[1].tobytes()
+    assert len(read_one) == len(read_four) == one[2] <= iters
+    for (c1, bar1), (c4, bar4) in zip(read_one, read_four):
+        assert c1.tobytes() == c4.tobytes() and bar1 == bar4
+    assert one[0] == score(one[1])

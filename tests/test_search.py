@@ -126,7 +126,9 @@ def test_report_serialization():
 
 
 # Per-restart (best score, evaluations), recorded from the one-restart-at-a-
-# time search that the lockstep driver replaced. Inputs: GOLDEN_INPUTS.
+# time search that the lockstep search replaced; "2x3-rank-3-37", whose
+# budget runs out inside runs of candidates, from the lockstep search that
+# scored one candidate per restart and step. Inputs: GOLDEN_INPUTS.
 GOLDEN = {
     "full-rank-101": [
         (0.8125569113113741, 500),
@@ -153,6 +155,11 @@ GOLDEN = {
         (0.6805185970496276, 200),
         (0.7262366365691753, 200),
         (0.7084714369428479, 200),
+    ],
+    "2x3-rank-3-37": [
+        (0.24093633440842743, 37),
+        (0.29091417058667723, 37),
+        (0.30872296440271924, 37),
     ],
     "cnot": [
         (0.798823359343912, 50),
@@ -186,6 +193,7 @@ GOLDEN_INPUTS = {
     "full-rank-101": (lambda: _full_rank_pair(101), 8, 500, 3),
     "full-rank-202": (lambda: _full_rank_pair(202), 8, 500, 6),
     "2x3-rank-3": (_two_by_three_pair, 4, 200, 5),
+    "2x3-rank-3-37": (_two_by_three_pair, 3, 37, 8),
     "cnot": (lambda: (eq10_source(), eq11_ancilla()), 4, 50, 0),
     "swap": (lambda: (states.pure_state(states.basis_ket((0, 0), (2, 2))),
                       states.pure_state(states.PHI_PLUS)), 4, 50, 0),
@@ -235,6 +243,22 @@ def test_lockstep_chunks_are_bitwise_independent():
     assert rep.trace == tuple(r[1] for r in whole)
     assert rep.best_round.u_alice.tobytes() == best[2].tobytes()
     assert rep.best_round.u_bob.tobytes() == best[3].tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: _full_rank_pair(505),
+                                  _two_by_three_pair])
+def test_lockstep_results_do_not_depend_on_run_length(make, monkeypatch):
+    rho_s, rho_a = make()
+    monkeypatch.setattr(search, "STEP_ROWS", 1000)
+    results = {}
+    for lookahead in (1, 2, 3, 4, 6):
+        monkeypatch.setattr(search, "LOOKAHEAD", lookahead)
+        results[lookahead] = _run_chunks(rho_s, rho_a, 2, [range(5)], 77)
+    for other in results.values():
+        for a, b in zip(results[1], other):
+            assert a[0] == b[0] and a[1] == b[1] and a[4] == b[4]
+            assert a[2].tobytes() == b[2].tobytes()
+            assert a[3].tobytes() == b[3].tobytes()
 
 
 def test_optimize_rejects_bad_workers():
