@@ -94,16 +94,11 @@ def concurrence_matrix(m):
 class MagicDecomposition:
     """Decomposition with diagonal spin-flip overlaps.
 
-    z_states are unnormalized so <z_i|z_i> carries the mixture weight;
-    transform maps the subnormalized eigenvectors onto them.
+    z_states are unnormalized so <z_i|z_i> carries the mixture weight.
     """
 
     z_states: tuple
     lambda_primes: np.ndarray
-    transform: np.ndarray
-
-    def weights(self):
-        return np.array([np.real(np.vdot(z, z)) for z in self.z_states])
 
     def ensemble(self, dims=(2, 2)) -> states.Ensemble:
         members = []
@@ -134,9 +129,8 @@ def magic_decomposition(rho: states.QuantumState) -> MagicDecomposition:
         if abs(diag) > 1e-14:
             phase = np.exp(-0.5j * np.angle(diag))
             z[i] = phase * z[i]
-            u[i] = phase * u[i]
     # takagi returns d descending, so z and lambda' are already in order
-    return MagicDecomposition(z_states=tuple(z), lambda_primes=d, transform=u)
+    return MagicDecomposition(z_states=tuple(z), lambda_primes=d)
 
 
 def ppt_separable(rho: states.QuantumState) -> bool:
@@ -149,13 +143,37 @@ def ppt_separable(rho: states.QuantumState) -> bool:
         raise DimensionMismatch(
             f"PPT needs an explicit bipartition, got dims {rho.dims}"
         )
-    pt = linalg.partial_transpose(rho.matrix, rho.dims, side="B")
-    return float(np.min(np.linalg.eigvalsh(pt))) >= TOLERANCES["ppt_min_eig"]
+    return min_pt_eigenvalue(rho.matrix, rho.dims) >= TOLERANCES["ppt_min_eig"]
 
 
 def min_pt_eigenvalue(matrix, dims) -> float:
     pt = linalg.partial_transpose(matrix, dims, side="B")
     return float(np.min(np.linalg.eigvalsh(pt)))
+
+
+def separable(rho: states.QuantumState) -> bool:
+    """The one separability test: the partial transpose across
+    (d_A, rest) has smallest eigenvalue >= ppt_min_eig and, for two
+    qubits, the concurrence is also <= concurrence_zero.
+
+    PPT is exact for d_A * d_B <= 6 and a necessary condition above that.
+    The two-qubit concurrence gate is there because the PPT tolerance
+    alone is loose: a smallest PT eigenvalue of -e still allows a
+    concurrence of up to 2 sqrt(e), 2e-5 at e = 1e-10 (Verstraete,
+    Audenaert, Dehaene and De Moor 2001, J. Phys. A 34, 10327). The bound
+    is reached by p Phi+ + (1 - p)|01><01|, with concurrence p and smallest
+    PT eigenvalue about -p^2/4. Without the gate, a certificate could also
+    starve one member's weight until its PT eigenvalue crossed the
+    threshold while the state stayed entangled.
+    """
+    if len(rho.dims) < 2:
+        raise DimensionMismatch(
+            f"separability needs an explicit bipartition, got dims {rho.dims}"
+        )
+    pt_dims = (rho.dims[0], int(np.prod(rho.dims[1:])))
+    ppt = min_pt_eigenvalue(rho.matrix, pt_dims) >= TOLERANCES["ppt_min_eig"]
+    return ppt and (tuple(rho.dims) != (2, 2)
+                    or concurrence(rho) <= TOLERANCES["concurrence_zero"])
 
 
 def schmidt_coefficients(psi, dims):

@@ -228,14 +228,9 @@ class Branch:
     post_state: states.QuantumState | None
 
 
-def run_sequence(rho_s, rounds, policy="all-branches") -> list[Branch]:
-    """Chain rounds, each consuming a fresh ancilla.
-
-    policy "all-branches" expands every outcome; "postselect-best-score"
-    keeps only the best-scoring surviving outcome per round.
-    """
-    if policy not in ("all-branches", "postselect-best-score"):
-        raise BadParameters(f"unknown policy {policy!r}")
+def run_sequence(rho_s, rounds) -> list[Branch]:
+    """Chain rounds, each consuming a fresh ancilla, and expand every
+    outcome."""
     branches = [Branch((), 1.0, rho_s)]
     for rho_a, rnd in rounds:
         nxt = []
@@ -243,24 +238,10 @@ def run_sequence(rho_s, rounds, policy="all-branches") -> list[Branch]:
             if br.post_state is None:
                 nxt.append(br)
                 continue
-            outcomes = run_round(br.post_state, rho_a, rnd)
-            live = [
+            nxt.extend(
                 Branch(br.labels + (o.outcome_index,),
                        br.probability * o.probability, o.post_state)
-                for o in outcomes
-            ]
-            if policy == "postselect-best-score":
-                from .search import outcome_score
-
-                scored = [
-                    (outcome_score(o.probability, o.post_state.matrix,
-                                   o.post_state.dims), i)
-                    for i, o in enumerate(outcomes)
-                    if o.post_state is not None
-                ]
-                if scored:
-                    best = max(scored)[1]
-                    live = [live[best]]
-            nxt.extend(live)
+                for o in run_round(br.post_state, rho_a, rnd)
+            )
         branches = nxt
     return branches

@@ -23,6 +23,8 @@ from .errors import DimensionMismatch, QsslabError
 QSS = "QSS"
 NOT_QSS_CANDIDATE = "NOT_QSS_CANDIDATE"
 UNKNOWN = "UNKNOWN"
+# evidence note on verdicts whose separability rests on PPT alone
+PPT_ONLY = "PPT-only (necessary condition)"
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,11 @@ class QssVerdict:
 
 def verify_certificate(rho: states.QuantumState, ensemble, weights) -> bool:
     """Independent check: the ensemble decomposes rho and its reweighting
-    is separable.
-
-    Separability is checked by PPT; exact for d_A*d_B <= 6, and a uniform
-    reweighting that lands exactly on I/d is accepted at any dimension
-    (explicit product decomposition of the identity).
+    passes entanglement.separable (PPT, plus the concurrence for two
+    qubits; PPT alone is a necessary condition only beyond
+    d_A * d_B = 6). A uniform reweighting that lands exactly on I/d is
+    accepted at any dimension (explicit product decomposition of the
+    identity).
     """
     recon = states.from_ensemble(ensemble)
     if np.max(np.abs(recon.matrix - rho.matrix)) > TOLERANCES["reconstruction"]:
@@ -63,18 +65,7 @@ def verify_certificate(rho: states.QuantumState, ensemble, weights) -> bool:
     d = new_state.dim
     if np.max(np.abs(new_state.matrix - np.eye(d) / d)) <= 1e-10:
         return True
-    if tuple(rho.dims) == (2, 2):
-        # both exact tests must agree; the concurrence gate stops
-        # reweightings that push the PT eigenvalue just above threshold by
-        # starving one member's weight while staying entangled
-        return entanglement.ppt_separable(new_state) and \
-            entanglement.concurrence(new_state) <= TOLERANCES["concurrence_zero"]
-    if len(rho.dims) == 2 and rho.dims[0] * rho.dims[1] <= 6:
-        return entanglement.ppt_separable(new_state)
-    # beyond the PPT-exact dimensions this is a necessary condition only
-    return entanglement.min_pt_eigenvalue(
-        new_state.matrix, (rho.dims[0], int(np.prod(rho.dims[1:])))
-    ) >= TOLERANCES["ppt_min_eig"]
+    return entanglement.separable(new_state)
 
 
 def _verified(rho, ensemble, weights, evidence):
@@ -112,7 +103,7 @@ def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 system, got dims {rho.dims}")
     rank = rho.rank()
-    if entanglement.concurrence(rho) <= TOLERANCES["concurrence_zero"]:
+    if entanglement.separable(rho):
         ens = states.spectral_ensemble(rho)
         return _verified(rho, ens, ens.weights,
                          {"rank": rank, "route": "already-separable"})
@@ -148,24 +139,17 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
 
     Maximizes the minimum partial-transpose eigenvalue over (unitary mixing
     of the spectral ensemble, weight simplex) by seeded pattern search.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. classify calls it only after the
+    full-rank and separability routes, so it runs neither check itself.
     """
     if len(rho.dims) < 2:
         raise DimensionMismatch("need an explicit bipartition")
     pt_dims = (rho.dims[0], int(np.prod(rho.dims[1:])))
-    rank = rho.rank()
     d = rho.dim
     ens = states.spectral_ensemble(rho)
     l = len(ens)
-    evidence = {"rank": rank, "budget": budget}
+    evidence = {"rank": rho.rank(), "budget": budget}
 
-    if entanglement.min_pt_eigenvalue(rho.matrix, pt_dims) >= TOLERANCES["ppt_min_eig"]:
-        evidence["route"] = "already-ppt"
-        if rho.dims[0] * pt_dims[1] > 6:
-            evidence["separability"] = "PPT-only (necessary condition)"
-        return _verified(rho, ens, ens.weights, evidence)
-    if rank == d:
-        return full_rank_certificate(rho)
     if l == 1:
         evidence["route"] = "rank-1"
         evidence["best_pt_eigenvalue"] = entanglement.min_pt_eigenvalue(
@@ -189,8 +173,7 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
         norms = np.real(np.einsum("ij,ij->i", np.conj(z), z))
         m = np.zeros((d, d), dtype=complex)
         for wi, zi, ni in zip(weights, z, norms):
-            if ni > 1e-14:
-                m += (wi / ni) * np.outer(zi, np.conj(zi))
+            m += (wi / ni) * np.outer(zi, np.conj(zi))
         m /= np.real(np.trace(m))
         return entanglement.min_pt_eigenvalue(m, pt_dims)
 
@@ -225,14 +208,13 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
     if best_val >= target:
         u, weights = mixing(best_theta)
         z_ens = states.transform_ensemble(ens, u)
-        if len(z_ens) == len(weights):
-            evidence["route"] = "heuristic-search"
-            if rho.dims[0] * int(np.prod(rho.dims[1:])) > 6:
-                evidence["separability"] = "PPT-only (necessary condition)"
-            try:
-                return _verified(rho, z_ens, weights, evidence)
-            except QsslabError:
-                pass
+        evidence["route"] = "heuristic-search"
+        if d > 6:
+            evidence["separability"] = PPT_ONLY
+        try:
+            return _verified(rho, z_ens, weights, evidence)
+        except QsslabError:
+            pass
     return QssVerdict(UNKNOWN, evidence=evidence)
 
 
@@ -247,12 +229,12 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     verdict = full_rank_certificate(rho)
     if verdict.status == QSS:
         return verdict
-    pt_dims = (rho.dims[0], int(np.prod(rho.dims[1:])))
-    if entanglement.min_pt_eigenvalue(rho.matrix, pt_dims) >= TOLERANCES["ppt_min_eig"]:
-        if rho.dims[0] * pt_dims[1] <= 6:
-            ens = states.spectral_ensemble(rho)
-            return _verified(rho, ens, ens.weights, {"route": "already-separable",
-                                                     "rank": rho.rank()})
+    if entanglement.separable(rho):
+        evidence = {"route": "already-separable", "rank": rho.rank()}
+        if rho.dim > 6:
+            evidence["separability"] = PPT_ONLY
+        ens = states.spectral_ensemble(rho)
+        return _verified(rho, ens, ens.weights, evidence)
     if tuple(rho.dims) == (2, 2):
         return reweight_certificate_2q(rho)
     return heuristic_search(rho, budget=budget, seed=seed)

@@ -11,7 +11,7 @@ violation and must never occur.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,8 +154,8 @@ class _RoundScorer:
         return scores.max(axis=-1)
 
 
-def _restart_seeds(rho_s, rho_a, seeds_in):
-    """Named protocols first, then caller-provided rounds."""
+def _restart_seeds(rho_s, rho_a):
+    """The named protocol rounds that fit the dimensions."""
     dsa, dsb = rho_s.dims
     daa, dab = rho_a.dims
     rounds = [protocol.named_round("identity", rho_s.dims, rho_a.dims)]
@@ -163,7 +163,6 @@ def _restart_seeds(rho_s, rho_a, seeds_in):
         rounds.append(protocol.named_round("swap", rho_s.dims, rho_a.dims))
     if (dsa, dsb, daa, dab) == (2, 2, 2, 2):
         rounds.append(protocol.named_round("bilateral-cnot"))
-    rounds.extend(seeds_in or [])
     return rounds
 
 
@@ -268,7 +267,6 @@ def optimize_protocol(
     restarts=16,
     iters=500,
     seed=0,
-    seeds_in=None,
     workers=1,
 ) -> SearchReport:
     """Best protocol round found over seeded restarts.
@@ -289,7 +287,7 @@ def optimize_protocol(
         raise BadParameters("restarts must be >= 1")
     if workers < 1:
         raise BadParameters("workers must be >= 1")
-    seed_rounds = _restart_seeds(rho_s, rho_a, seeds_in)
+    seed_rounds = _restart_seeds(rho_s, rho_a)
     tasks = [
         (rho_s, rho_a, seed, chunk, iters, seed_rounds)
         for chunk in _restart_chunks(restarts, workers)

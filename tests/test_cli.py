@@ -372,3 +372,15 @@ def test_malformed_state_files_exit_2(data):
             code, doc = cli.run_command([command, "--state", path])
             assert code == 2, doc
             assert "error" in doc["results"]
+
+
+def test_qss_command_on_a_ppt_but_entangled_state(tmp_path):
+    # p1 Phi+ + (1 - p1)|01><01| at p1 = 1e-5 has smallest PT eigenvalue
+    # -2.5e-11, inside the PPT tolerance, and concurrence 1e-5
+    from conftest import eq10_source
+
+    path = write_state(tmp_path, "eq10.json", eq10_source(1e-5))
+    out = tmp_path / "report.json"
+    assert cli.main(["--out", str(out), "qss", "--state", path]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["results"]["status"] == "NOT_QSS_CANDIDATE"

@@ -161,6 +161,23 @@ def test_ppt_werner_boundary(p):
     assert abs(np.min(np.linalg.eigvalsh(pt)) - (1 - 3 * p) / 4) <= 1e-12
 
 
+def test_separable_examples():
+    assert entanglement.separable(states.QuantumState(np.eye(6) / 6, (2, 3)))
+    assert not entanglement.separable(states.pure_state(states.PHI_PLUS))
+    # PPT within ppt_min_eig (smallest PT eigenvalue -2.5e-11) yet
+    # concurrence 1e-5: the two-qubit concurrence gate rejects it
+    p = 1e-5
+    rho = states.QuantumState(
+        p * bell_projector(states.PHI_PLUS)
+        + (1 - p) * bell_projector(states.basis_ket((0, 1), (2, 2))),
+        (2, 2),
+    )
+    assert entanglement.ppt_separable(rho)
+    assert not entanglement.separable(rho)
+    with pytest.raises(DimensionMismatch):
+        entanglement.separable(states.QuantumState(np.eye(4) / 4, (4,)))
+
+
 def test_concurrence_ppt_agree_on_two_qubits(rng):
     # both are exact separability tests in 2x2
     for _ in range(1000):

@@ -310,7 +310,6 @@ def test_run_sequence_cnot_then_filter_keeps_phi_plus():
     branches = protocol.run_sequence(
         rho_s,
         [(rho_a, protocol.named_round("bilateral-cnot"))],
-        policy="all-branches",
     )
     br = next(b for b in branches if b.labels == ("01",))
     filtered, prob = protocol.apply_local_filter(
@@ -320,18 +319,6 @@ def test_run_sequence_cnot_then_filter_keeps_phi_plus():
     # fidelity after re-balancing stays; here just check purity survived
     assert states.is_pure(br.post_state)
     assert states.fidelity_pure(br.post_state, states.PHI_PLUS) >= 1 - 1e-10
-
-
-def test_run_sequence_postselect_best_score():
-    rho_s = eq10_source()
-    rho_a = eq11_ancilla()
-    branches = protocol.run_sequence(
-        rho_s,
-        [(rho_a, protocol.named_round("bilateral-cnot"))],
-        policy="postselect-best-score",
-    )
-    assert len(branches) == 1
-    assert branches[0].labels == ("01",)
 
 
 def test_round_kernel_stack_matches_single_rounds(rng):

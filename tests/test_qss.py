@@ -274,3 +274,54 @@ def test_verdict_serialization_roundtrip():
 
     text = json.dumps(data, sort_keys=True)
     assert json.loads(text) == data
+
+
+def _cos_sin(a):
+    """cos a|00> + sin a|11>: entangled for any a > 0, with smallest PT
+    eigenvalue -cos a sin a and concurrence sin 2a."""
+    return states.pure_state(np.array([np.cos(a), 0.0, 0.0, np.sin(a)]))
+
+
+# each is PPT within ppt_min_eig, or has concurrence within
+# concurrence_zero, but not both: separable(rho) is false
+@pytest.mark.parametrize("rho", [
+    eq10_source(1e-5), eq10_source(1.9e-5), _cos_sin(2.5e-10),
+], ids=["eq10-p1-1e-5", "eq10-p1-1.9e-5", "cos-sin-2.5e-10"])
+def test_classify_boundary_states_are_candidates(rho):
+    assert qss.classify(rho).status == qss.NOT_QSS_CANDIDATE
+    assert not entanglement.separable(rho)
+
+
+def test_classify_ppt_input_beyond_six_dims_is_already_separable():
+    rho = states.QuantumState(
+        np.kron(np.diag([1.0, 0.0]), np.eye(4) / 4), (2, 4)
+    )
+    verdict = qss.classify(rho, budget=10)
+    assert verdict.status == qss.QSS
+    assert verdict.evidence["route"] == "already-separable"
+    assert verdict.evidence["separability"] == qss.PPT_ONLY
+
+
+def _ket(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=_SEEDS, log_eps=st.floats(-7.0, -3.0), log_w=st.floats(-3.0, 0.0))
+def test_near_product_rank_two_states_classify_soundly(seed, log_eps, log_w):
+    # (1 - w)|v><v| + w|a b_perp><a b_perp| with v close to the product a b:
+    # entangled but within the PPT tolerance of separable for small eps
+    rng = np.random.default_rng(seed)
+    a, b, r = _ket(rng, 2), _ket(rng, 2), _ket(rng, 4)
+    b_perp = np.array([-np.conj(b[1]), np.conj(b[0])])
+    v = np.kron(a, b) + 10.0**log_eps * r
+    v /= np.linalg.norm(v)
+    u = np.kron(a, b_perp)
+    w = 10.0**log_w
+    m = (1 - w) * np.outer(v, np.conj(v)) + w * np.outer(u, np.conj(u))
+    rho = states.QuantumState((m + np.conj(m.T)) / 2, (2, 2))
+    verdict = qss.classify(rho)  # must not raise
+    if verdict.status == qss.QSS:
+        ens, wq = verdict.certificate
+        assert qss.verify_certificate(rho, ens, wq)

@@ -201,7 +201,7 @@ GOLDEN_INPUTS = {
 
 
 def _run_chunks(rho_s, rho_a, seed, chunks, iters):
-    seed_rounds = search._restart_seeds(rho_s, rho_a, None)
+    seed_rounds = search._restart_seeds(rho_s, rho_a)
     return [
         r for chunk in chunks
         for r in search._chunk_task(
