@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .config import TOLERANCES
 from .errors import (
@@ -70,7 +69,15 @@ def takagi(s):
 
     Returns (u, d) with u unitary and d non-negative descending such that
     s = u @ diag(d) @ u.T.
+
+    scipy.linalg is imported here, on the first call, and not with the
+    module: it is most of the package's import time, and only this function
+    needs it (the magic decomposition, hence `qsslab magic` and classify's
+    rank-2/3 two-qubit route), so the search, `qsslab probe` and the other
+    commands start without it.
     """
+    import scipy.linalg
+
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {s.shape}")

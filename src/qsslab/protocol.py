@@ -73,13 +73,18 @@ def permutation_matrix(dims, perm):
     return p
 
 
-def round_kernel(total, dims_s, dims_a, u_alice, u_bob):
+def round_kernel(total, dims_s, dims_a, u_alice, u_bob, work=None):
     """Outcome probabilities and unnormalized post blocks of rounds.
 
     total is kron(source, ancilla) in storage order. u_alice (..., da, da)
     and u_bob (..., db, db) are local unitaries with matching leading axes,
     one round per index. Returns probabilities (..., K) and blocks
     (..., K, ds, ds) for the K ancilla outcomes in label order 00, 01, ...
+
+    work, a list, keeps the (rounds, dim, dim) work arrays between calls of
+    one caller: they grow to the largest stack it has passed and are then
+    reused, so a search does not allocate (and fault in) a fresh set per
+    step. The returned arrays never share memory with them.
     """
     dsa, dsb = dims_s
     daa, dab = dims_a
@@ -89,20 +94,31 @@ def round_kernel(total, dims_s, dims_a, u_alice, u_bob):
         )
     batch = u_alice.shape[:-2]
     n = len(batch)
+    dim = dsa * dsb * daa * dab
+    rows = int(np.prod(batch, dtype=int))
+    if work is None:
+        work = []
+    if not work or work[0].shape[0] < rows or work[0].shape[1:] != (dim, dim):
+        work[:] = [np.empty((rows, dim, dim), dtype=complex) for _ in range(3)]
+    act, u, out = (w[:rows].reshape(batch + (dim, dim)) for w in work)
     # kron(uA, uB) acts in the order [SS_A, AS_A, SS_B, AS_B]; reorder its
     # row and column factors to the storage order [SS_A, SS_B, AS_A, AS_B]
-    act = u_alice[..., :, None, :, None] * u_bob[..., None, :, None, :]
-    act = act.reshape(batch + (dsa, daa, dsb, dab) * 2)
+    np.multiply(u_alice[..., :, None, :, None], u_bob[..., None, :, None, :],
+                out=act.reshape(batch + (dsa * daa, dsb * dab) * 2))
     order = [*range(n)] + [n + k for k in (0, 2, 1, 3, 4, 6, 5, 7)]
-    dim = dsa * dsb * daa * dab
-    u = act.transpose(order).reshape(batch + (dim, dim))
-    out = u @ total @ np.conj(np.swapaxes(u, -1, -2))
+    np.copyto(u.reshape(batch + (dsa, dsb, daa, dab) * 2),
+              act.reshape(batch + (dsa, daa, dsb, dab) * 2).transpose(order))
+    # act is free once copied into u; conj(u) read transposed is u's
+    # adjoint, and u itself is not needed after
+    ut = np.matmul(u, total, out=act)
+    np.matmul(ut, np.swapaxes(np.conj(u, out=u), -1, -2), out=out)
     t = out.reshape(batch + (dsa, dsb, daa, dab) * 2)
     # block (ma, mb) is t[..., :, :, ma, mb, :, :, ma, mb]; a contiguous
-    # copy, so its trace sums in the same order for any batch shape
-    blocks = np.ascontiguousarray(
-        np.einsum("...abijcdij->...ijabcd", t)
-    ).reshape(batch + (daa * dab, dsa * dsb, dsa * dsb))
+    # copy (never a view of the work arrays), so its trace sums in the
+    # same order for any batch shape
+    blocks = np.einsum("...abijcdij->...ijabcd", t).copy().reshape(
+        batch + (daa * dab, dsa * dsb, dsa * dsb)
+    )
     probs = np.real(np.trace(blocks, axis1=-2, axis2=-1))
     return probs, blocks
 

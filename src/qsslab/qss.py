@@ -219,22 +219,23 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
 
 
 def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
-    """Full pipeline: full rank -> separable -> two-qubit criterion ->
+    """Full pipeline: full rank -> two-qubit criterion, or separable ->
     heuristic search.
 
     The full-rank route runs first so full-rank states always get the
     canonical uniform-weights certificate (reweighting to I/d), whether or
-    not they happen to be separable already.
+    not they happen to be separable already. The two-qubit criterion runs
+    its own separability test first.
     """
     verdict = full_rank_certificate(rho)
     if verdict.status == QSS:
         return verdict
+    if tuple(rho.dims) == (2, 2):
+        return reweight_certificate_2q(rho)
     if entanglement.separable(rho):
         evidence = {"route": "already-separable", "rank": rho.rank()}
         if rho.dim > 6:
             evidence["separability"] = PPT_ONLY
         ens = states.spectral_ensemble(rho)
         return _verified(rho, ens, ens.weights, evidence)
-    if tuple(rho.dims) == (2, 2):
-        return reweight_certificate_2q(rho)
     return heuristic_search(rho, budget=budget, seed=seed)

@@ -135,6 +135,7 @@ class _RoundScorer:
         self.da = rho_s.dims[0] * rho_a.dims[0]
         self.db = rho_s.dims[1] * rho_a.dims[1]
         self.total = np.kron(rho_s.matrix, rho_a.matrix)
+        self.work = []  # round_kernel's work arrays, reused across calls
 
     def score(self, u_alice, u_bob, above=-np.inf):
         """Best outcome score of each round of the stack, u_alice
@@ -142,7 +143,8 @@ class _RoundScorer:
         most `above` (one value per round) may get an upper bound that is
         also at most `above` in its place; see outcome_scores."""
         probs, blocks = protocol.round_kernel(
-            self.total, self.rho_s.dims, self.rho_a.dims, u_alice, u_bob
+            self.total, self.rho_s.dims, self.rho_a.dims, u_alice, u_bob,
+            self.work,
         )
         live = probs > TOLERANCES["probability_floor"]
         p = probs[live]

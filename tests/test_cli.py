@@ -256,6 +256,50 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert json.loads(proc.stdout)["command"] == "reproduce-cnot"
 
 
+SCIPY_PROBE = """
+import json, sys
+import qsslab, qsslab.cli
+from qsslab import cli
+state, state23, ancilla = sys.argv[1:]
+loaded = [("import", "scipy.linalg" in sys.modules)]
+for argv in (["qss", "--state", state], ["qss", "--state", state23,
+              "--budget", "200"],
+             ["ppt", "--state", state], ["concurrence", "--state", state],
+             ["search", "--state", state, "--ancilla", ancilla,
+              "--restarts", "2", "--iters", "20", "--workers", "1"],
+             ["probe", "--state", state23, "--ancilla", ancilla,
+              "--budget", "500", "--workers", "1"],
+             ["magic", "--state", state]):
+    code, doc = cli.run_command(argv)
+    assert code == 0, doc
+    loaded.append((argv[0], "scipy.linalg" in sys.modules))
+print(json.dumps({"loaded": loaded, "magic": doc}))
+"""
+
+
+def test_scipy_linalg_loads_only_for_takagi(tmp_path):
+    # scipy.linalg is most of the start-up time, and only linalg.takagi
+    # needs it; the magic report must not depend on when it was loaded
+    import scipy.linalg  # noqa: F401  (loaded here before the comparison)
+
+    path = write_state(tmp_path, "werner09.json", states.werner(0.9))
+    path23 = write_state(tmp_path, "r23.json",
+                         states.random_density((2, 3), rank=3, seed=2))
+    ancilla = write_state(tmp_path, "r.json", states.random_density((2, 2), seed=4))
+    env = dict(os.environ, PYTHONPATH=str(Path(qsslab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, path, path23, ancilla],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == [["import", False], ["qss", False], ["qss", False],
+                             ["ppt", False], ["concurrence", False],
+                             ["search", False], ["probe", False],
+                             ["magic", True]]
+    assert out["magic"] == cli.run_command(["magic", "--state", path])[1]
+
+
 def test_qss_command_on_a_pure_product_state(tmp_path):
     # eigensolver noise in its zero eigenvalues must not fail its certificate
     rng = np.random.default_rng([21, 14])

@@ -339,3 +339,53 @@ def test_round_kernel_stack_matches_single_rounds(rng):
                 assert prob == p and block.tobytes() == b.tobytes()
                 assert abs(prob - want[label][0]) <= 1e-12
                 assert np.max(np.abs(block - want[label][1])) <= 1e-12
+
+
+def _unitary_stacks(rng, da, db, sizes):
+    return [
+        (np.array([linalg.haar_unitary_from_rng(da, rng) for _ in range(n)]),
+         np.array([linalg.haar_unitary_from_rng(db, rng) for _ in range(n)]))
+        for n in sizes
+    ]
+
+
+def test_round_kernel_work_arrays_never_alias_results():
+    # one work list across a growing, shrinking and growing stack: every
+    # result must survive the later calls and match a call without it
+    rng = np.random.default_rng([51, 0])
+    rho_s = states.random_density_from_rng((2, 2), rng)
+    rho_a = states.random_density_from_rng((2, 2), rng)
+    total = np.kron(rho_s.matrix, rho_a.matrix)
+    work, results = [], []
+    for uas, ubs in _unitary_stacks(rng, 4, 4, (32, 3, 64)):
+        probs, blocks = protocol.round_kernel(
+            total, (2, 2), (2, 2), uas, ubs, work
+        )
+        results.append((uas, ubs, probs, blocks, probs.copy(), blocks.copy()))
+        assert not any(np.shares_memory(blocks, w) or np.shares_memory(probs, w)
+                       for w in work)
+    assert len(work[0]) == 64
+    for uas, ubs, probs, blocks, probs0, blocks0 in results:
+        assert probs.tobytes() == probs0.tobytes()
+        assert blocks.tobytes() == blocks0.tobytes()
+        fresh = protocol.round_kernel(total, (2, 2), (2, 2), uas, ubs)
+        assert fresh[0].tobytes() == probs.tobytes()
+        assert fresh[1].tobytes() == blocks.tobytes()
+
+
+def test_run_round_results_survive_later_rounds():
+    rng = np.random.default_rng([51, 1])
+    rho_s = states.random_density_from_rng((2, 3), rng)
+    rho_a = states.random_density_from_rng((2, 2), rng)
+    rounds = [protocol.ProtocolRound(ua[0], ub[0])
+              for ua, ub in _unitary_stacks(rng, 4, 6, (1, 1, 1))]
+    raw = protocol.run_round_raw(rho_s, rho_a, rounds[0])
+    outcomes = protocol.run_round(rho_s, rho_a, rounds[0])
+    kept_raw = [b.copy() for _, _, b in raw]
+    kept = [o.post_state.matrix.copy() for o in outcomes]
+    for rnd in rounds[1:]:
+        protocol.run_round_raw(rho_s, rho_a, rnd)
+        protocol.run_round(rho_s, rho_a, rnd)
+    assert all(np.array_equal(b, k) for (_, _, b), k in zip(raw, kept_raw))
+    assert all(np.array_equal(o.post_state.matrix, k)
+               for o, k in zip(outcomes, kept))

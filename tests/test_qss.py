@@ -214,6 +214,35 @@ def test_classify_rank3_entangled(rng):
         assert qss.verify_certificate(rho, ens, w)
 
 
+def test_classify_tests_a_rank_deficient_two_qubit_input_once(monkeypatch):
+    # the two-qubit criterion runs its own separability test, so classify
+    # must not run one of its own first
+    rho = states.random_density((2, 2), rank=2, seed=3)
+    assert not entanglement.separable(rho)
+    seen = []
+    real = entanglement.separable
+
+    def counting(state):
+        seen.append(state)
+        return real(state)
+
+    monkeypatch.setattr(entanglement, "separable", counting)
+    verdict = qss.classify(rho)
+    assert verdict.status == qss.QSS
+    assert verdict.evidence["route"] == "z1-reweighting"
+    assert sum(state is rho for state in seen) == 1
+    assert len(seen) == 2  # the input, then its certificate's reweighting
+
+
+def test_classify_rank_deficient_separable_two_qubit_state():
+    a, b = states.basis_ket((0, 0), (2, 2)), states.basis_ket((1, 1), (2, 2))
+    rho = states.QuantumState(0.6 * np.outer(a, a) + 0.4 * np.outer(b, b))
+    verdict = qss.classify(rho)
+    assert verdict.status == qss.QSS
+    assert verdict.evidence == {"rank": 2, "route": "already-separable"}
+    assert qss.verify_certificate(rho, *verdict.certificate)
+
+
 def test_classify_deterministic():
     rho = states.random_density((2, 2), rank=2, seed=9)
     v1 = qss.classify(rho, budget=1000, seed=3)

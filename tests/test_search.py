@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsslab import entanglement, protocol, qss, search, states
+from qsslab import entanglement, linalg, protocol, qss, search, states
 from qsslab.errors import BadParameters
 from conftest import eq10_source, eq11_ancilla
 
@@ -280,6 +280,24 @@ def test_restart_chunks_cover_restarts_in_order():
             assert [i for c in chunks for i in c] == list(range(restarts))
             sizes = [len(c) for c in chunks]
             assert max(sizes) - min(sizes) <= 1
+
+
+def test_round_scorer_results_survive_later_stacks():
+    # the scorer reuses its round-kernel work arrays across calls; each
+    # stack's scores must match a fresh scorer's and outlive later calls
+    rng = np.random.default_rng([52, 0])
+    rho_s, rho_a = _full_rank_pair(3)
+    scorer = search._RoundScorer(rho_s, rho_a)
+    results = []
+    for n in (32, 3, 64):
+        uas = np.array([linalg.haar_unitary_from_rng(4, rng) for _ in range(n)])
+        ubs = np.array([linalg.haar_unitary_from_rng(4, rng) for _ in range(n)])
+        scores = scorer.score(uas, ubs)
+        results.append((uas, ubs, scores, scores.copy()))
+    for uas, ubs, scores, kept in results:
+        assert scores.tobytes() == kept.tobytes()
+        fresh = search._RoundScorer(rho_s, rho_a).score(uas, ubs)
+        assert fresh.tobytes() == scores.tobytes()
 
 
 def test_outcome_scores_cut_is_an_upper_bound(rng):
