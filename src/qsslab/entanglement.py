@@ -146,9 +146,14 @@ def ppt_separable(rho: states.QuantumState) -> bool:
     return min_pt_eigenvalue(rho.matrix, rho.dims) >= TOLERANCES["ppt_min_eig"]
 
 
-def min_pt_eigenvalue(matrix, dims) -> float:
+def min_pt_eigenvalue(matrix, dims):
+    """Smallest eigenvalue of the partial transpose over the second factor
+    of dims = (d_A, d_B), for matrices of shape (..., n, n): a float for a
+    single matrix, an array for a stack. Each value of a stack is bitwise
+    the one a single call returns."""
     pt = linalg.partial_transpose(matrix, dims, side="B")
-    return float(np.min(np.linalg.eigvalsh(pt)))
+    low = np.min(np.linalg.eigvalsh(pt), axis=-1)
+    return float(low) if low.ndim == 0 else low
 
 
 def separable(rho: states.QuantumState) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import entanglement, linalg, states
 from .config import TOLERANCES
-from .errors import DimensionMismatch, QsslabError
+from .errors import BadParameters, DimensionMismatch, QsslabError
 
 QSS = "QSS"
 NOT_QSS_CANDIDATE = "NOT_QSS_CANDIDATE"
@@ -133,15 +133,24 @@ def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
     return QssVerdict(QSS, (ens, wq), evidence)
 
 
+def _check_budget(budget):
+    if budget < 1:
+        raise BadParameters(f"budget must be >= 1, got {budget}")
+
+
 def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     """General-dimension fallback: search decompositions and weights for a
     reweighting whose partial transpose is positive.
 
     Maximizes the minimum partial-transpose eigenvalue over (unitary mixing
     of the spectral ensemble, weight simplex) by seeded pattern search.
-    Deterministic for a fixed seed. classify calls it only after the
-    full-rank and separability routes, so it runs neither check itself.
+    Each climb scores its runs of candidates (see linalg.pattern_search)
+    in one stacked call; its decisions are those of a climb that scores
+    one candidate at a time. Deterministic for a fixed seed. classify calls
+    it only after the full-rank and separability routes, so it runs
+    neither check itself. A budget below 1 raises BadParameters.
     """
+    _check_budget(budget)
     if len(rho.dims) < 2:
         raise DimensionMismatch("need an explicit bipartition")
     pt_dims = (rho.dims[0], int(np.prod(rho.dims[1:])))
@@ -160,22 +169,28 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
     x = np.array([np.sqrt(w) * v for w, v in ens.members])
     floor = TOLERANCES["min_certificate_weight"]
     target = TOLERANCES["ppt_min_eig"]
+    lookahead = linalg.run_length(1)
 
     def mixing(params):
-        u = linalg.parameterized_unitary(params[: l * l], l)
-        raw = params[l * l:]
+        """Mixing unitaries and weights of parameters (..., l^2 + l)."""
+        u = linalg.parameterized_unitary(params[..., : l * l], l)
+        raw = params[..., l * l:]
         weights = raw * raw + floor
-        return u, weights / weights.sum()
+        return u, weights / weights.sum(axis=-1, keepdims=True)
 
     def objective(params):
+        """Scores of a run (k, l^2 + l). The reweighted states are summed
+        member by member, in member order, so each score is bitwise
+        independent of the run length."""
         u, weights = mixing(params)
         z = u @ x
-        norms = np.real(np.einsum("ij,ij->i", np.conj(z), z))
-        m = np.zeros((d, d), dtype=complex)
-        for wi, zi, ni in zip(weights, z, norms):
-            m += (wi / ni) * np.outer(zi, np.conj(zi))
-        m /= np.real(np.trace(m))
-        return entanglement.min_pt_eigenvalue(m, pt_dims)
+        norms = np.real(np.einsum("kij,kij->ki", np.conj(z), z))
+        scale = weights / norms
+        m = np.zeros((len(params), d, d), dtype=complex)
+        for zi, si in zip(z.swapaxes(0, 1), scale.T):
+            m += si[:, None, None] * (zi[:, :, None] * np.conj(zi[:, None, :]))
+        m /= np.real(np.trace(m, axis1=-2, axis2=-1))[:, None, None]
+        return entanglement.min_pt_eigenvalue(m, pt_dims).tolist()
 
     best_val, best_theta = -np.inf, None
     evals = 0
@@ -189,11 +204,11 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
                 r_rng.uniform(-np.pi, np.pi, l * l),
                 r_rng.uniform(0.2, 1.0, l),
             ])
-        climb = linalg.pattern_search(p, budget - evals, target)
+        climb = linalg.pattern_search(p, budget - evals, target, lookahead)
         run, _ = next(climb)
         try:
             while True:
-                run, _ = climb.send([objective(run[0])])
+                run, _ = climb.send(objective(np.array(run)))
         except StopIteration as stop:
             val, theta, used = stop.value
         evals += used
@@ -225,8 +240,12 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     The full-rank route runs first so full-rank states always get the
     canonical uniform-weights certificate (reweighting to I/d), whether or
     not they happen to be separable already. The two-qubit criterion runs
-    its own separability test first.
+    its own separability test first. An entangled pure state beyond two
+    qubits is a NOT_QSS_CANDIDATE, as a two-qubit one is: its only
+    decomposition is itself. A budget below 1 raises BadParameters on
+    every route.
     """
+    _check_budget(budget)
     verdict = full_rank_certificate(rho)
     if verdict.status == QSS:
         return verdict
@@ -238,4 +257,7 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
             evidence["separability"] = PPT_ONLY
         ens = states.spectral_ensemble(rho)
         return _verified(rho, ens, ens.weights, evidence)
-    return heuristic_search(rho, budget=budget, seed=seed)
+    verdict = heuristic_search(rho, budget=budget, seed=seed)
+    if verdict.evidence.get("route") == "rank-1":
+        return QssVerdict(NOT_QSS_CANDIDATE, evidence=verdict.evidence)
+    return verdict

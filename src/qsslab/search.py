@@ -22,13 +22,6 @@ from .errors import BadParameters
 _P_PROB = TOLERANCES["success_probability"]
 _P_PURITY = TOLERANCES["success_purity"]
 _P_ENT = TOLERANCES["success_entanglement"]
-# Each lockstep step scores a run of up to LOOKAHEAD candidates per restart
-# (the two moves of two coordinates), and about STEP_ROWS rows in all: a
-# score call's fixed cost dominates small stacks, while large stacks cost
-# more per row and an improvement discards the rest of its run. Measured
-# fastest per restart: 2-4 at 8 restarts, 2 at 16, 1 at 32 and 64.
-LOOKAHEAD = 4
-STEP_ROWS = 32
 
 
 def outcome_score(prob, post_matrix, dims):
@@ -182,7 +175,7 @@ def _search_chunk(rho_s, rho_a, bases, iters):
         (slice(0, na), scorer.da, np.array([b[0] for b in bases])),
         (slice(na, n), scorer.db, np.array([b[1] for b in bases])),
     ]
-    lookahead = max(1, min(LOOKAHEAD, STEP_ROWS // len(bases)))
+    lookahead = linalg.run_length(len(bases))
     searches = [
         linalg.pattern_search(np.zeros(n), iters, 1.0, lookahead) for _ in bases
     ]
@@ -278,10 +271,10 @@ def optimize_protocol(
     its starting round, with at most `iters` objective evaluations. Named
     protocol rounds are always among the starting points. The restarts are
     split into min(workers, restarts) contiguous chunks, one process each;
-    a chunk runs its restarts in lockstep, each step scoring a run of up to
-    LOOKAHEAD candidates per restart in one stacked call (fewer when the
-    chunk has more than STEP_ROWS / LOOKAHEAD restarts). Candidates scored
-    past a run's first improvement are discarded and are not evaluations.
+    a chunk runs its restarts in lockstep, each step scoring a run of
+    linalg.run_length(chunk size) candidates per restart in one stacked
+    call. Candidates scored past a run's first improvement are discarded
+    and are not evaluations.
     Fully deterministic for fixed (inputs, seed, restarts, iters), bitwise
     independent of worker count.
     """

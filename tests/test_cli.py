@@ -300,6 +300,21 @@ def test_scipy_linalg_loads_only_for_takagi(tmp_path):
     assert out["magic"] == cli.run_command(["magic", "--state", path])[1]
 
 
+@pytest.mark.parametrize("command, budget", [("qss", "0"), ("probe", "-3")])
+def test_bad_budget_exits_2_without_a_traceback(tmp_path, command, budget):
+    path = write_state(tmp_path, "r23.json",
+                       states.random_density((2, 3), rank=2, seed=0))
+    argv = [command, "--state", path, "--budget", budget, "--workers", "1"]
+    if command == "probe":
+        argv += ["--ancilla", path]
+    env = dict(os.environ, PYTHONPATH=str(Path(qsslab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "qsslab.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "budget" in json.loads(proc.stdout)["results"]["error"]
+
+
 def test_qss_command_on_a_pure_product_state(tmp_path):
     # eigensolver noise in its zero eigenvalues must not fail its certificate
     rng = np.random.default_rng([21, 14])

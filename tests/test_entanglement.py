@@ -226,6 +226,23 @@ def test_concurrence_matrix_stack_matches_single_calls(rng):
         assert single == max(0.0, lam[0] - lam[1:].sum())
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_min_pt_eigenvalue_stack_matches_single_calls(rng, dims):
+    n = dims[0] * dims[1]
+    ms = np.array([
+        states.random_density_from_rng(dims, rng, rank=1 + i % n).matrix
+        for i in range(12)
+    ]).reshape(3, 4, n, n)
+    stack = entanglement.min_pt_eigenvalue(ms, dims)
+    assert stack.shape == (3, 4)
+    flat = entanglement.min_pt_eigenvalue(ms.reshape(-1, n, n), dims)
+    assert flat.tobytes() == stack.ravel().tobytes()
+    for m, low in zip(ms.reshape(-1, n, n), stack.ravel()):
+        single = entanglement.min_pt_eigenvalue(m, dims)
+        assert isinstance(single, float)
+        assert single == low
+
+
 def _pure_product(seed):
     rng = np.random.default_rng([21, seed])
     a = states.random_pure_from_rng((2,), rng)

@@ -408,3 +408,11 @@ def test_pattern_search_lookahead_reads_the_same_climb(n, iters, target, seed,
     for (c1, bar1), (c4, bar4) in zip(read_one, read_four):
         assert c1.tobytes() == c4.tobytes() and bar1 == bar4
     assert one[0] == score(one[1])
+
+
+def test_run_length_gives_a_single_climb_four_candidates():
+    # a single climb gets LOOKAHEAD candidates per run; many climbs scored
+    # together share about STEP_ROWS rows, never less than one each
+    assert linalg.run_length(1) == linalg.LOOKAHEAD == 4
+    assert [linalg.run_length(n) for n in (2, 8, 9, 16, 17, 32, 64)] == [
+        4, 4, 3, 2, 1, 1, 1]

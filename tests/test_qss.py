@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsslab import entanglement, qss, states
+from qsslab import entanglement, linalg, qss, states
 from qsslab.config import TOLERANCES
-from qsslab.errors import DimensionMismatch
+from qsslab.errors import BadParameters, DimensionMismatch
 from conftest import bell_projector, eq10_source, eq11_ancilla
 
 
@@ -143,6 +143,87 @@ def test_heuristic_search_stops_at_a_ppt_start():
     assert verdict.evidence["evaluations"] == 1
     ens, w = verdict.certificate
     assert qss.verify_certificate(rho, ens, w)
+
+
+def _search_result(verdict):
+    """Status, search evidence and certificate bytes of a verdict."""
+    got = (verdict.status, verdict.evidence["best_pt_eigenvalue"],
+           verdict.evidence["evaluations"])
+    if verdict.certificate is None:
+        return got, None
+    ens, w = verdict.certificate
+    vectors = b"".join(v.tobytes() for v in ens.vectors)
+    return got, (ens.weights.tobytes(), vectors, w.tobytes())
+
+
+@pytest.mark.parametrize("rank, seed", sorted(HEURISTIC_GOLDEN) + [(5, 0)])
+def test_heuristic_search_does_not_depend_on_run_length(rank, seed,
+                                                        monkeypatch):
+    # each climb scores a run of candidates in one stacked call and reads
+    # it up to its first improvement, so the run length changes nothing
+    rho = states.random_density((2, 3), rank=rank, seed=seed)
+    results = {}
+    for length in (1, 2, 4, 8):
+        monkeypatch.setattr(linalg, "run_length", lambda climbs: length)
+        results[length] = _search_result(
+            qss.heuristic_search(rho, budget=1000, seed=seed))
+    assert all(r == results[1] for r in results.values())
+    if (rank, seed) in HEURISTIC_GOLDEN:
+        assert results[1][0] == HEURISTIC_GOLDEN[rank, seed]
+
+
+def test_heuristic_search_climbs_with_the_shared_run_length(monkeypatch):
+    seen = []
+    real = linalg.pattern_search
+
+    def spy(theta0, iters, target, lookahead=1):
+        seen.append(lookahead)
+        return real(theta0, iters, target, lookahead)
+
+    monkeypatch.setattr(linalg, "pattern_search", spy)
+    rho = states.random_density((2, 3), rank=2, seed=0)
+    qss.heuristic_search(rho, budget=300, seed=0)
+    assert seen and set(seen) == {linalg.run_length(1)}
+
+
+def _pure_entangled_2x3():
+    return states.pure_state(
+        np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) / np.sqrt(2), (2, 3))
+
+
+def test_classify_pure_entangled_states_are_candidates_in_any_dims():
+    # a pure state's only decomposition is itself, so an entangled one is
+    # a non-QSS candidate whether or not it is two qubits
+    two_qubit = qss.classify(states.pure_state(states.PHI_PLUS))
+    assert two_qubit.status == qss.NOT_QSS_CANDIDATE
+    rho = _pure_entangled_2x3()
+    verdict = qss.classify(rho, budget=50)
+    assert verdict.status == qss.NOT_QSS_CANDIDATE
+    assert verdict.certificate is None
+    low = entanglement.min_pt_eigenvalue(rho.matrix, (2, 3))
+    assert verdict.evidence == {"rank": 1, "budget": 50, "route": "rank-1",
+                                "best_pt_eigenvalue": low}
+    assert verdict.evidence["best_pt_eigenvalue"] < 0.0
+    # a pure product state beyond two qubits is still certified separable
+    product = states.pure_state(np.kron([0.6, 0.8], [0.0, 1.0, 0.0]), (2, 3))
+    assert qss.classify(product).status == qss.QSS
+
+
+@pytest.mark.parametrize("rho", [
+    states.werner(0.9),
+    states.random_density((2, 2), rank=2, seed=3),
+    states.pure_state(states.PHI_PLUS),
+    states.QuantumState(np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3), (2, 3)),
+    states.random_density((2, 3), rank=2, seed=0),
+    _pure_entangled_2x3(),
+], ids=["full-rank", "2q-rank-2", "2q-pure", "2x3-separable", "2x3-rank-2",
+        "2x3-pure"])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budgets_below_one_are_bad_parameters(rho, budget):
+    with pytest.raises(BadParameters):
+        qss.classify(rho, budget=budget)
+    with pytest.raises(BadParameters):
+        qss.heuristic_search(rho, budget=budget)
 
 
 def _rank_deficient_2q(seed, rank, p):

@@ -249,10 +249,10 @@ def test_lockstep_chunks_are_bitwise_independent():
                                   _two_by_three_pair])
 def test_lockstep_results_do_not_depend_on_run_length(make, monkeypatch):
     rho_s, rho_a = make()
-    monkeypatch.setattr(search, "STEP_ROWS", 1000)
+    monkeypatch.setattr(linalg, "STEP_ROWS", 1000)
     results = {}
     for lookahead in (1, 2, 3, 4, 6):
-        monkeypatch.setattr(search, "LOOKAHEAD", lookahead)
+        monkeypatch.setattr(linalg, "LOOKAHEAD", lookahead)
         results[lookahead] = _run_chunks(rho_s, rho_a, 2, [range(5)], 77)
     for other in results.values():
         for a, b in zip(results[1], other):
