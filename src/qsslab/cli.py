@@ -21,6 +21,7 @@ from .config import TOLERANCES
 from .errors import (
     BadParameters,
     InvalidState,
+    NonUnitary,
     ParseError,
     QsslabError,
 )
@@ -66,11 +67,31 @@ def _load_density(path) -> states.QuantumState:
     return obj
 
 
+def _bipartite(rho, command, exact=True) -> states.QuantumState:
+    """rho, if it has two tensor factors (at least two if not exact)."""
+    if len(rho.dims) < 2 or (exact and len(rho.dims) > 2):
+        need = "two" if exact else "at least two"
+        raise BadParameters(
+            f"{command} needs a state with {need} tensor factors, "
+            f"got dims {rho.dims}"
+        )
+    return rho
+
+
 def _load_two_qubit(path, command) -> states.QuantumState:
     rho = _load_density(path)
     if tuple(rho.dims) != (2, 2):
         raise BadParameters(f"{command} needs a 2x2 state, got dims {rho.dims}")
     return rho
+
+
+def _fitted(m, dim, name):
+    """m, if it is a dim x dim matrix."""
+    if m.shape != (dim, dim):
+        raise BadParameters(
+            f"{name} must be {dim}x{dim} to fit the dims, got shape {m.shape}"
+        )
+    return m
 
 
 def _load_matrix(path):
@@ -80,14 +101,20 @@ def _load_matrix(path):
     return states.pairs_to_complex(data)
 
 
-def _load_round(path) -> protocol.ProtocolRound:
+def _load_round(path, rho_s, rho_a) -> protocol.ProtocolRound:
     data = _load_json(path)
     try:
         ua = states.pairs_to_complex(data["u_alice"])
         ub = states.pairs_to_complex(data["u_bob"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return protocol.ProtocolRound(ua, ub)
+    da, db = (rho_s.dims[i] * rho_a.dims[i] for i in (0, 1))
+    try:
+        return protocol.ProtocolRound(
+            _fitted(ua, da, "u_alice"), _fitted(ub, db, "u_bob")
+        )
+    except NonUnitary as exc:
+        raise BadParameters(f"{path}: {exc}") from exc
 
 
 def make_report(command, inputs, results, seed):
@@ -219,7 +246,7 @@ def build_parser():
 def _dispatch(args, seed, workers):
     cmd = args.command
     if cmd == "qss":
-        rho = _load_density(args.state)
+        rho = _bipartite(_load_density(args.state), cmd, exact=False)
         verdict = qss.classify(rho, budget=args.budget, seed=seed)
         return {"state": args.state, "budget": args.budget}, verdict.to_dict()
     if cmd == "concurrence":
@@ -235,19 +262,18 @@ def _dispatch(args, seed, workers):
             "z_states": [states.complex_to_pairs(z) for z in md.z_states],
         }
     if cmd == "ppt":
-        rho = _load_density(args.state)
-        pt_dims = (rho.dims[0], int(np.prod(rho.dims[1:])))
+        rho = _bipartite(_load_density(args.state), cmd)
         return {"state": args.state}, {
             "ppt_separable": entanglement.ppt_separable(rho),
             "min_pt_eigenvalue": entanglement.min_pt_eigenvalue(
-                rho.matrix, pt_dims
+                rho.matrix, rho.dims
             ),
         }
     if cmd == "simulate":
-        rho_s = _load_density(args.state)
-        rho_a = _load_density(args.ancilla)
+        rho_s, rho_a = (_bipartite(_load_density(path), cmd)
+                        for path in (args.state, args.ancilla))
         if args.round_file:
-            rnd = _load_round(args.round_file)
+            rnd = _load_round(args.round_file, rho_s, rho_a)
         elif args.protocol_name:
             rnd = protocol.named_round(args.protocol_name, rho_s.dims, rho_a.dims)
         else:
@@ -259,10 +285,13 @@ def _dispatch(args, seed, workers):
     if cmd == "filter":
         rho = _load_density(args.state)
         if args.c_file:
-            out, prob = protocol.apply_global_filter(rho, _load_matrix(args.c_file))
+            c = _fitted(_load_matrix(args.c_file), rho.dim, "--c")
+            out, prob = protocol.apply_global_filter(rho, c)
         elif args.a_file and args.b_file:
+            da, db = _bipartite(rho, cmd).dims
             out, prob = protocol.apply_local_filter(
-                rho, _load_matrix(args.a_file), _load_matrix(args.b_file)
+                rho, _fitted(_load_matrix(args.a_file), da, "--a"),
+                _fitted(_load_matrix(args.b_file), db, "--b"),
             )
         else:
             raise BadParameters("filter needs --c or both --a and --b")
@@ -276,8 +305,8 @@ def _dispatch(args, seed, workers):
             "outcomes": _outcomes_payload(outcomes)
         }
     if cmd == "search":
-        rho_s = _load_density(args.state)
-        rho_a = _load_density(args.ancilla)
+        rho_s, rho_a = (_bipartite(_load_density(path), cmd)
+                        for path in (args.state, args.ancilla))
         report = search.optimize_protocol(
             rho_s, rho_a, restarts=args.restarts, iters=args.iters,
             seed=seed, workers=workers,
@@ -286,8 +315,8 @@ def _dispatch(args, seed, workers):
                   "restarts": args.restarts, "iters": args.iters}
         return inputs, report.to_dict()
     if cmd == "probe":
-        rho_s = _load_density(args.state)
-        rho_a = _load_density(args.ancilla)
+        rho_s, rho_a = (_bipartite(_load_density(path), cmd)
+                        for path in (args.state, args.ancilla))
         result = search.impossibility_probe(
             rho_s, rho_a, budget=args.budget, seed=seed, workers=workers
         )
@@ -295,6 +324,14 @@ def _dispatch(args, seed, workers):
                   "budget": args.budget}
         return inputs, result.to_dict()
     if cmd == "random-state":
+        if min(args.dims) < 1:
+            raise BadParameters(f"--dims must be positive, got {args.dims}")
+        dim = int(np.prod(args.dims))
+        if args.rank is not None and not 1 <= args.rank <= dim:
+            raise BadParameters(
+                f"--rank must be between 1 and the dimension {dim}, "
+                f"got {args.rank}"
+            )
         rho = states.random_density(args.dims, rank=args.rank, seed=seed)
         payload = states.state_to_dict(rho)
         if args.state_out:

@@ -20,14 +20,6 @@ from .linalg import SIGMA_Y
 Y2 = np.kron(SIGMA_Y, SIGMA_Y).real  # sigma_y (x) sigma_y is real
 
 
-def spin_flip(v):
-    """|v~> = (sigma_y (x) sigma_y) |v*> for a two-qubit ket."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (4,):
-        raise DimensionMismatch(f"spin flip needs a 4-dim ket, got {v.shape}")
-    return Y2 @ np.conj(v)
-
-
 def _check_two_qubit(rho: states.QuantumState):
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 system, got dims {rho.dims}")

@@ -20,7 +20,6 @@ from .errors import (
     NotSymmetric,
 )
 
-I2 = np.eye(2, dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
@@ -69,15 +68,7 @@ def takagi(s):
 
     Returns (u, d) with u unitary and d non-negative descending such that
     s = u @ diag(d) @ u.T.
-
-    scipy.linalg is imported here, on the first call, and not with the
-    module: it is most of the package's import time, and only this function
-    needs it (the magic decomposition, hence `qsslab magic` and classify's
-    rank-2/3 two-qubit route), so the search, `qsslab probe` and the other
-    commands start without it.
     """
-    import scipy.linalg
-
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got shape {s.shape}")
@@ -88,17 +79,18 @@ def takagi(s):
     w = dagger(wh)
     # For symmetric s, Z = V^T W is unitary symmetric block-diagonal over
     # groups of equal singular values; u = V conj(sqrt(Z)) symmetrizes the
-    # factorization within each degenerate block.
+    # factorization within each degenerate block. Z is unitary, hence
+    # normal: one eigendecomposition gives its root, wrong only where
+    # rounding splits a repeated eigenvalue -1 across the branch cut.
     scale = d[0] if d.size and d[0] > 0 else 1.0
-    blocks = []
+    q = np.zeros_like(s)
     start = 0
     for i in range(1, len(d) + 1):
         if i == len(d) or d[start] - d[i] > 1e-8 * scale:
             idx = np.arange(start, i)
-            z = v[:, idx].T @ w[:, idx]
-            blocks.append(scipy.linalg.sqrtm(z))
+            lam, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
+            q[np.ix_(idx, idx)] = (vec * np.sqrt(lam)) @ np.linalg.inv(vec)
             start = i
-    q = scipy.linalg.block_diag(*blocks) if blocks else np.zeros_like(s)
     u = v @ np.conj(q)
     return u, d
 
@@ -148,13 +140,8 @@ def partial_transpose(m, dims, side="B"):
     return t.reshape(m.shape)
 
 
-def haar_unitary(dim, seed):
-    """Haar-distributed random unitary via QR of a Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    return haar_unitary_from_rng(dim, rng)
-
-
 def haar_unitary_from_rng(dim, rng):
+    """Haar-distributed random unitary via QR of a Ginibre matrix."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()

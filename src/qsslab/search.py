@@ -80,11 +80,6 @@ def outcome_success(prob, post_state: states.QuantumState) -> bool:
     return bool(ent >= _P_ENT)
 
 
-def score_round(rho_s, rho_a, rnd) -> float:
-    """Best outcome score of a round (see outcome_score)."""
-    return float(_RoundScorer(rho_s, rho_a).score(rnd.u_alice, rnd.u_bob))
-
-
 @dataclass(frozen=True)
 class SearchReport:
     best_score: float
@@ -149,16 +144,24 @@ class _RoundScorer:
         return scores.max(axis=-1)
 
 
-def _restart_seeds(rho_s, rho_a):
-    """The named protocol rounds that fit the dimensions."""
+def _restart_bases(rho_s, rho_a, restarts, seed):
+    """Starting (u_alice, u_bob) of each restart: restart i starts from the
+    i-th named protocol round that fits the dimensions, or from Haar-random
+    unitaries drawn from the seed sequence [seed, i]."""
     dsa, dsb = rho_s.dims
     daa, dab = rho_a.dims
-    rounds = [protocol.named_round("identity", rho_s.dims, rho_a.dims)]
+    names = ["identity"]
     if (dsa, dsb) == (daa, dab):
-        rounds.append(protocol.named_round("swap", rho_s.dims, rho_a.dims))
+        names.append("swap")
     if (dsa, dsb, daa, dab) == (2, 2, 2, 2):
-        rounds.append(protocol.named_round("bilateral-cnot"))
-    return rounds
+        names.append("bilateral-cnot")
+    rounds = [protocol.named_round(n, rho_s.dims, rho_a.dims) for n in names]
+    bases = [(r.u_alice, r.u_bob) for r in rounds[:restarts]]
+    for i in range(len(bases), restarts):
+        rng = np.random.default_rng([seed, i])
+        bases.append((linalg.haar_unitary_from_rng(dsa * daa, rng),
+                      linalg.haar_unitary_from_rng(dsb * dab, rng)))
+    return bases
 
 
 def _search_chunk(rho_s, rho_a, bases, iters):
@@ -228,26 +231,6 @@ def _search_chunk(rho_s, rho_a, bases, iters):
     ]
 
 
-def _chunk_task(args):
-    """Run a chunk of restarts; returns (index, score, u_alice, u_bob,
-    evaluations) per restart. Restart i starts from the i-th seed round,
-    or from Haar-random unitaries drawn from the seed sequence [seed, i]."""
-    rho_s, rho_a, seed, indices, iters, seed_rounds = args
-    da = rho_s.dims[0] * rho_a.dims[0]
-    db = rho_s.dims[1] * rho_a.dims[1]
-    bases = []
-    for index in indices:
-        if index < len(seed_rounds):
-            rnd = seed_rounds[index]
-            bases.append((rnd.u_alice, rnd.u_bob))
-        else:
-            rng = np.random.default_rng([seed, index])
-            bases.append((linalg.haar_unitary_from_rng(da, rng),
-                          linalg.haar_unitary_from_rng(db, rng)))
-    results = _search_chunk(rho_s, rho_a, bases, iters)
-    return [(i, *res) for i, res in zip(indices, results)]
-
-
 def _restart_chunks(restarts, workers):
     """Contiguous runs of restart indices, one per worker process and never
     more runs than restarts; their lengths differ by at most one."""
@@ -282,21 +265,19 @@ def optimize_protocol(
         raise BadParameters("restarts must be >= 1")
     if workers < 1:
         raise BadParameters("workers must be >= 1")
-    seed_rounds = _restart_seeds(rho_s, rho_a)
-    tasks = [
-        (rho_s, rho_a, seed, chunk, iters, seed_rounds)
-        for chunk in _restart_chunks(restarts, workers)
-    ]
-    if len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(len(tasks)) as ex:
-            parts = list(ex.map(_chunk_task, tasks))
+    bases = _restart_bases(rho_s, rho_a, restarts, seed)
+    chunks = [bases[c.start:c.stop] for c in _restart_chunks(restarts, workers)]
+    n = len(chunks)
+    if n > 1:
+        with concurrent.futures.ProcessPoolExecutor(n) as ex:
+            parts = list(ex.map(_search_chunk, [rho_s] * n, [rho_a] * n,
+                                chunks, [iters] * n))
     else:
-        parts = [_chunk_task(tasks[0])]
+        parts = [_search_chunk(rho_s, rho_a, chunks[0], iters)]
     results = [r for part in parts for r in part]
-    trace = tuple(float(r[1]) for r in results)
-    best_index, best_score, best_ua, best_ub, _ = max(
-        results, key=lambda r: (r[1], -r[0])
-    )
+    trace = tuple(float(r[0]) for r in results)
+    best = max(range(restarts), key=lambda i: (results[i][0], -i))
+    best_score, best_ua, best_ub, _ = results[best]
     best_round = protocol.ProtocolRound(best_ua, best_ub)
     outcomes = protocol.run_round(rho_s, rho_a, best_round)
     live = [o for o in outcomes if o.post_state is not None]
@@ -318,7 +299,7 @@ def optimize_protocol(
         restarts_used=restarts,
         success=success,
         trace=trace,
-        evaluations=sum(r[4] for r in results),
+        evaluations=sum(r[3] for r in results),
     )
 
 

@@ -256,48 +256,100 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert json.loads(proc.stdout)["command"] == "reproduce-cnot"
 
 
-SCIPY_PROBE = """
+NUMPY_ONLY_PROBE = """
 import json, sys
-import qsslab, qsslab.cli
 from qsslab import cli
-state, state23, ancilla = sys.argv[1:]
-loaded = [("import", "scipy.linalg" in sys.modules)]
-for argv in (["qss", "--state", state], ["qss", "--state", state23,
-              "--budget", "200"],
+state, rank2, state23, ancilla, filt = sys.argv[1:]
+loaded = [("import", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))]
+for argv in (["qss", "--state", state], ["qss", "--state", rank2],
+             ["qss", "--state", state23, "--budget", "200"],
              ["ppt", "--state", state], ["concurrence", "--state", state],
+             ["magic", "--state", state], ["magic", "--state", rank2],
+             ["simulate", "--state", state, "--ancilla", ancilla,
+              "--protocol", "bilateral-cnot"],
+             ["filter", "--state", state, "--c", filt],
+             ["reproduce-cnot"], ["random-state", "--rank", "2"],
              ["search", "--state", state, "--ancilla", ancilla,
               "--restarts", "2", "--iters", "20", "--workers", "1"],
              ["probe", "--state", state23, "--ancilla", ancilla,
-              "--budget", "500", "--workers", "1"],
-             ["magic", "--state", state]):
+              "--budget", "500", "--workers", "1"]):
     code, doc = cli.run_command(argv)
     assert code == 0, doc
-    loaded.append((argv[0], "scipy.linalg" in sys.modules))
-print(json.dumps({"loaded": loaded, "magic": doc}))
+    loaded.append((argv[0], sorted(m for m in sys.modules
+                                   if m.split(".")[0] == "scipy")))
+print(json.dumps(loaded))
 """
 
 
-def test_scipy_linalg_loads_only_for_takagi(tmp_path):
-    # scipy.linalg is most of the start-up time, and only linalg.takagi
-    # needs it; the magic report must not depend on when it was loaded
-    import scipy.linalg  # noqa: F401  (loaded here before the comparison)
-
+def test_every_command_runs_without_scipy(tmp_path):
+    # qsslab depends on numpy alone: no command, the Takagi factorization
+    # behind magic and classify's rank-2/3 two-qubit route included, loads
+    # any scipy module
     path = write_state(tmp_path, "werner09.json", states.werner(0.9))
+    rank2 = write_state(tmp_path, "r2.json",
+                        states.random_density((2, 2), rank=2, seed=3))
     path23 = write_state(tmp_path, "r23.json",
                          states.random_density((2, 3), rank=3, seed=2))
     ancilla = write_state(tmp_path, "r.json", states.random_density((2, 2), seed=4))
+    filt = tmp_path / "c.json"
+    filt.write_text(json.dumps(states.complex_to_pairs(np.eye(4))))
     env = dict(os.environ, PYTHONPATH=str(Path(qsslab.__file__).parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, path, path23, ancilla],
+        [sys.executable, "-c", NUMPY_ONLY_PROBE, path, rank2, path23, ancilla,
+         str(filt)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["loaded"] == [["import", False], ["qss", False], ["qss", False],
-                             ["ppt", False], ["concurrence", False],
-                             ["search", False], ["probe", False],
-                             ["magic", True]]
-    assert out["magic"] == cli.run_command(["magic", "--state", path])[1]
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == 14
+    assert all(mods == [] for _, mods in loaded), loaded
+
+
+def _bad_input_files(tmp_path):
+    files = {
+        name: write_state(tmp_path, f"{name}.json",
+                          states.random_density(dims, seed=1))
+        for name, dims in (("s4", [4]), ("s222", [2, 2, 2]), ("s22", [2, 2]))
+    }
+    for name, m in (("c3", np.eye(3)), ("c2", np.eye(2))):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(states.complex_to_pairs(m)))
+    for name, ua, ub in (("short", np.eye(4), np.eye(2)),
+                         ("nonunitary", 2 * np.eye(4), np.eye(4))):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(
+            {"u_alice": states.complex_to_pairs(ua),
+             "u_bob": states.complex_to_pairs(ub)}))
+    return files
+
+
+@pytest.mark.parametrize("argv, problem", [
+    ("simulate --state s4 --ancilla s22 --protocol identity", "tensor factors"),
+    ("simulate --state s22 --ancilla s222 --protocol identity",
+     "tensor factors"),
+    ("simulate --state s22 --ancilla s22 --round short", "u_bob must be 4x4"),
+    ("simulate --state s22 --ancilla s22 --round nonunitary", "unitary"),
+    ("search --state s222 --ancilla s22 --restarts 1 --iters 2",
+     "tensor factors"),
+    ("probe --state s22 --ancilla s4 --budget 10", "tensor factors"),
+    ("ppt --state s4", "tensor factors"),
+    ("ppt --state s222", "tensor factors"),
+    ("qss --state s4 --budget 10", "at least two tensor factors"),
+    ("filter --state s22 --c c3", "--c must be 4x4"),
+    ("filter --state s22 --a c3 --b c2", "--a must be 2x2"),
+    ("filter --state s222 --a c2 --b c2", "tensor factors"),
+    ("random-state --rank -1", "--rank"),
+    ("random-state --rank 0", "--rank"),
+    ("random-state --dims 2 2 --rank 5", "--rank"),
+    ("random-state --dims -2 2", "--dims"),
+])
+def test_bad_dims_rank_and_shapes_exit_2(tmp_path, argv, problem):
+    files = _bad_input_files(tmp_path)
+    argv = [files.get(a, a) for a in argv.split()] + ["--workers", "1"]
+    with np.errstate(all="raise"):  # no NaN detour to the error
+        code, doc = cli.run_command(argv)
+    assert code == 2
+    assert problem in doc["results"]["error"]
 
 
 @pytest.mark.parametrize("command, budget", [("qss", "0"), ("probe", "-3")])

@@ -14,30 +14,6 @@ def oracle_lambda_spectrum(m):
     return np.sort(np.sqrt(np.abs(np.real(ev))))[::-1]
 
 
-def test_spin_flip_basis_kets():
-    out = entanglement.spin_flip(states.basis_ket((0, 1), (2, 2)))
-    assert np.allclose(out, states.basis_ket((1, 0), (2, 2)))
-
-
-def test_spin_flip_phi_plus():
-    flipped = entanglement.spin_flip(states.PHI_PLUS)
-    assert np.allclose(flipped, -states.PHI_PLUS)
-    assert abs(abs(np.vdot(states.PHI_PLUS, flipped)) - 1.0) <= 1e-12
-
-
-def test_spin_flip_involution_and_norm(rng):
-    for _ in range(20):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        assert np.allclose(entanglement.spin_flip(entanglement.spin_flip(v)), v)
-        assert abs(np.linalg.norm(entanglement.spin_flip(v)) - 1.0) <= 1e-14
-
-
-def test_spin_flip_dimension():
-    with pytest.raises(DimensionMismatch):
-        entanglement.spin_flip(np.ones(3))
-
-
 def test_concurrence_bell():
     assert abs(entanglement.concurrence(states.pure_state(states.PHI_PLUS)) - 1.0) <= 1e-12
 

@@ -117,6 +117,28 @@ def test_takagi_random_reconstruction(rng):
             assert linalg.is_unitary(u)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_takagi_degenerate_and_zero_singular_values(n):
+    # groups of equal singular values, zero ones among them, take the
+    # square root of a block of Z = V^T W larger than 1x1
+    rng = np.random.default_rng([61, n])
+    for trial in range(60):
+        d = rng.uniform(0.1, 1.0, size=n)
+        k = rng.integers(2, n + 1)
+        d[:k] = d[0]  # a repeated value
+        d[rng.permutation(n)[: rng.integers(1, n)]] = 0.0  # zero values
+        if trial % 2:
+            o = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        else:
+            o = linalg.haar_unitary_from_rng(n, rng)
+        s = o @ np.diag(d) @ o.T
+        s = (s + s.T) / 2
+        u, dt = linalg.takagi(s)
+        assert np.max(np.abs(u @ np.diag(dt) @ u.T - s)) <= 1e-9
+        assert linalg.is_unitary(u)
+        assert np.max(np.abs(dt - np.sort(d)[::-1])) <= 1e-9
+
+
 def test_takagi_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         linalg.takagi(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -226,20 +248,24 @@ def test_partial_transpose_stack_matches_single_calls(rng, side):
         linalg.partial_transpose(ms, (3, 3), side)
 
 
+def haar_unitary(dim, seed):
+    return linalg.haar_unitary_from_rng(dim, np.random.default_rng(seed))
+
+
 def test_haar_unitary_dim_one():
-    u = linalg.haar_unitary(1, seed=3)
+    u = haar_unitary(1, seed=3)
     assert u.shape == (1, 1)
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
 def test_haar_unitary_deterministic():
-    assert np.array_equal(linalg.haar_unitary(4, 7), linalg.haar_unitary(4, 7))
+    assert np.array_equal(haar_unitary(4, 7), haar_unitary(4, 7))
 
 
 def test_haar_unitary_unitarity(rng):
     for dim in (2, 3, 6):
         for seed in range(20):
-            assert linalg.is_unitary(linalg.haar_unitary(dim, seed))
+            assert linalg.is_unitary(haar_unitary(dim, seed))
 
 
 def test_haar_unitary_first_entry_marginal():

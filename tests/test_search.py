@@ -6,23 +6,27 @@ from qsslab.errors import BadParameters
 from conftest import eq10_source, eq11_ancilla
 
 
+def score_round(rho_s, rho_a, name):
+    """Best outcome score of a named round."""
+    rnd = protocol.named_round(name, rho_s.dims, rho_a.dims)
+    return search._RoundScorer(rho_s, rho_a).score(rnd.u_alice, rnd.u_bob)
+
+
 def test_score_cnot_example_is_success():
-    score = search.score_round(
-        eq10_source(), eq11_ancilla(), protocol.named_round("bilateral-cnot")
-    )
+    score = score_round(eq10_source(), eq11_ancilla(), "bilateral-cnot")
     assert score >= 1.0 - 1e-9
 
 
 def test_score_identity_on_werner_pair_below_one():
     w = states.werner(0.9)
-    score = search.score_round(w, w, protocol.named_round("identity"))
+    score = score_round(w, w, "identity")
     assert score < 1.0 - 1e-3
 
 
 def test_score_swap_case():
     rho_s = states.pure_state(states.basis_ket((0, 0), (2, 2)))
     rho_a = states.pure_state(states.PHI_PLUS)
-    score = search.score_round(rho_s, rho_a, protocol.named_round("swap"))
+    score = score_round(rho_s, rho_a, "swap")
     assert score >= 1.0 - 1e-9
 
 
@@ -201,11 +205,13 @@ GOLDEN_INPUTS = {
 
 
 def _run_chunks(rho_s, rho_a, seed, chunks, iters):
-    seed_rounds = search._restart_seeds(rho_s, rho_a)
+    """(index, score, u_alice, u_bob, evaluations) per restart, each chunk
+    of restart indices searched on its own."""
+    bases = search._restart_bases(rho_s, rho_a, chunks[-1].stop, seed)
     return [
-        r for chunk in chunks
-        for r in search._chunk_task(
-            (rho_s, rho_a, seed, chunk, iters, seed_rounds))
+        (i, *r) for chunk in chunks
+        for i, r in zip(chunk, search._search_chunk(
+            rho_s, rho_a, bases[chunk.start:chunk.stop], iters))
     ]
 
 
