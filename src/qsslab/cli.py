@@ -189,9 +189,10 @@ def build_parser():
         sp.add_argument("--seed", default="0",
                         help="integer seed, or 'random' (default 0)")
         sp.add_argument("--workers", type=int, default=None,
-                        help="processes for search restarts, capped at the "
-                        "restart count (default $QSSLAB_WORKERS, else the "
-                        "CPU count)")
+                        help="most processes for search restarts; a second "
+                        f"one starts only when each gets {search.MIN_CHUNK} "
+                        "restarts (default $QSSLAB_WORKERS, else the CPU "
+                        "count)")
         return sp
 
     sp = add("qss", help="classify a state as quasi-separable")

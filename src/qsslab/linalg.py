@@ -77,19 +77,30 @@ def takagi(s):
 
     v, d, wh = np.linalg.svd(s)
     w = dagger(wh)
-    # For symmetric s, Z = V^T W is unitary symmetric block-diagonal over
-    # groups of equal singular values; u = V conj(sqrt(Z)) symmetrizes the
-    # factorization within each degenerate block. Z is unitary, hence
-    # normal: one eigendecomposition gives its root, wrong only where
-    # rounding splits a repeated eigenvalue -1 across the branch cut.
+    # For symmetric s, Z = V^T W is unitary and block-diagonal over groups
+    # of equal singular values, symmetric on each nonzero group; u =
+    # V conj(q), q a symmetric square root of Z, symmetrizes each group. A
+    # symmetric unitary's real and imaginary parts commute, so the
+    # eigenvectors of a generic real combination are a real orthogonal o
+    # with o^T Z o diagonal: q = o sqrt(o^T Z o) o^T stays right where
+    # rounding splits a repeated eigenvalue -1 across sqrt's branch cut.
+    # 1x1 blocks and zero groups, whose Z need not be symmetric, take the
+    # root of the normal Z from one eigendecomposition.
     scale = d[0] if d.size and d[0] > 0 else 1.0
+    gap = 1e-8 * scale
     q = np.zeros_like(s)
     start = 0
     for i in range(1, len(d) + 1):
-        if i == len(d) or d[start] - d[i] > 1e-8 * scale:
+        if i == len(d) or d[start] - d[i] > gap:
             idx = np.arange(start, i)
-            lam, vec = np.linalg.eig(v[:, idx].T @ w[:, idx])
-            q[np.ix_(idx, idx)] = (vec * np.sqrt(lam)) @ np.linalg.inv(vec)
+            z = v[:, idx].T @ w[:, idx]
+            if len(idx) > 1 and d[start] > gap:
+                o = np.linalg.eigh(z.real + np.sqrt(0.5) * z.imag)[1]
+                root = (o * np.sqrt(np.diagonal(o.T @ z @ o))) @ o.T
+            else:
+                lam, vec = np.linalg.eig(z)
+                root = (vec * np.sqrt(lam)) @ np.linalg.inv(vec)
+            q[np.ix_(idx, idx)] = root
             start = i
     u = v @ np.conj(q)
     return u, d

@@ -10,7 +10,6 @@ violation and must never occur.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +88,10 @@ class SearchReport:
     success: bool
     trace: tuple = ()
     # objective evaluations over all restarts, not counting the candidates
-    # a run scored past its first improvement; not part of to_dict
+    # a run scored past its first improvement, and the processes the
+    # restarts ran on; neither is part of to_dict
     evaluations: int = 0
+    processes: int = 1
 
     def to_dict(self):
         best_outcome = None
@@ -231,10 +232,21 @@ def _search_chunk(rho_s, rho_a, bases, iters):
     ]
 
 
+# A search forks a second process only when every chunk gets at least
+# MIN_CHUNK restarts. Timed in fresh interpreters on two cores, 500
+# iterations per restart (BENCH_12.json): from 32 restarts two processes
+# mostly finished first, whether the other core was idle or busy; below
+# that, which side finished first depended on the other core's load, and
+# the pool's start-up, forks and per-process call overhead cost 1.3-2.0x
+# the CPU of one process.
+MIN_CHUNK = 16
+
+
 def _restart_chunks(restarts, workers):
-    """Contiguous runs of restart indices, one per worker process and never
-    more runs than restarts; their lengths differ by at most one."""
-    n = min(workers, restarts)
+    """Contiguous runs of restart indices, one per process: at most
+    `workers` runs, and more than one only when each holds at least
+    MIN_CHUNK restarts; their lengths differ by at most one."""
+    n = max(1, min(workers, restarts // MIN_CHUNK))
     edges = [restarts * k // n for k in range(n + 1)]
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -253,11 +265,12 @@ def optimize_protocol(
     halved on failed sweeps, floor 1e-4) in the unitary parameters around
     its starting round, with at most `iters` objective evaluations. Named
     protocol rounds are always among the starting points. The restarts are
-    split into min(workers, restarts) contiguous chunks, one process each;
-    a chunk runs its restarts in lockstep, each step scoring a run of
-    linalg.run_length(chunk size) candidates per restart in one stacked
-    call. Candidates scored past a run's first improvement are discarded
-    and are not evaluations.
+    split into contiguous chunks, one process each: at most `workers` of
+    them, and a single one, run in the caller, unless every chunk gets at
+    least MIN_CHUNK restarts. A chunk runs its restarts in lockstep, each
+    step scoring a run of linalg.run_length(chunk size) candidates per
+    restart in one stacked call. Candidates scored past a run's first
+    improvement are discarded and are not evaluations.
     Fully deterministic for fixed (inputs, seed, restarts, iters), bitwise
     independent of worker count.
     """
@@ -269,6 +282,10 @@ def optimize_protocol(
     chunks = [bases[c.start:c.stop] for c in _restart_chunks(restarts, workers)]
     n = len(chunks)
     if n > 1:
+        # deferred: the pool's modules, logging among them, add about 4 ms
+        # to start-up that an in-process search never needs
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(n) as ex:
             parts = list(ex.map(_search_chunk, [rho_s] * n, [rho_a] * n,
                                 chunks, [iters] * n))
@@ -300,6 +317,7 @@ def optimize_protocol(
         success=success,
         trace=trace,
         evaluations=sum(r[3] for r in results),
+        processes=n,
     )
 
 

@@ -295,15 +295,24 @@ def test_criterion_7_kernel_suite():
         tr_keep = linalg.partial_trace(rho.matrix, [2, 2], [0])
         worst_pt = max(worst_pt, abs(float(np.trace(tr_keep).real) - 1.0))
 
-    # determinism, independent of worker count
+    # determinism, independent of worker count: 4 restarts run in the
+    # caller whatever the workers; 64 fill two worker processes
     rho_s = states.werner(0.85)
-    rep1 = search.optimize_protocol(rho_s, rho_s, restarts=4, iters=40, seed=1)
-    rep2 = search.optimize_protocol(
-        rho_s, rho_s, restarts=4, iters=40, seed=1, workers=2
-    )
-    deterministic = rep1.trace == rep2.trace and np.array_equal(
-        rep1.best_round.u_alice, rep2.best_round.u_alice
-    )
+    deterministic = True
+    for restarts, iters, processes in ((4, 40, 1), (64, 20, 2)):
+        rep1 = search.optimize_protocol(
+            rho_s, rho_s, restarts=restarts, iters=iters, seed=1
+        )
+        rep2 = search.optimize_protocol(
+            rho_s, rho_s, restarts=restarts, iters=iters, seed=1, workers=2
+        )
+        r1, r2 = rep1.best_round, rep2.best_round
+        deterministic &= (
+            (rep1.processes, rep2.processes) == (1, processes)
+            and rep1.trace == rep2.trace
+            and r1.u_alice.tobytes() == r2.u_alice.tobytes()
+            and r1.u_bob.tobytes() == r2.u_bob.tobytes()
+        )
     ok = (
         worst_unitary <= 1e-10
         and worst_eig <= 1e-8

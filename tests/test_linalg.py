@@ -139,6 +139,19 @@ def test_takagi_degenerate_and_zero_singular_values(n):
         assert np.max(np.abs(dt - np.sort(d)[::-1])) <= 1e-9
 
 
+def test_takagi_repeated_eigenvalue_on_the_branch_cut():
+    # Z = V^T W of the repeated singular value 1 has a repeated eigenvalue
+    # -1 that rounding splits across the principal square root's branch
+    # cut; a complex eigendecomposition of Z then gives a root that is
+    # neither symmetric nor unitary (residual 1.3, unitarity error 0.31)
+    o = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
+    s = o @ np.diag([-1.0, -1.0, 0.0, 0.0]) @ o.T
+    u, d = linalg.takagi(s)
+    assert np.max(np.abs(u @ np.diag(d) @ u.T - s)) <= 1e-12
+    assert np.max(np.abs(u @ linalg.dagger(u) - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(d - [1.0, 1.0, 0.0, 0.0])) <= 1e-12
+
+
 def test_takagi_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         linalg.takagi(np.array([[0.0, 1.0], [0.5, 0.0]]))

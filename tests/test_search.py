@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,31 @@ def test_optimize_deterministic_and_worker_independent():
     assert rep1.best_score == rep2.best_score == rep3.best_score
     assert np.array_equal(rep1.best_round.u_alice, rep3.best_round.u_alice)
     assert np.array_equal(rep1.best_round.u_bob, rep3.best_round.u_bob)
+    assert rep3.processes == 1  # 4 restarts run in the caller
+    # 64 restarts give each of two workers at least search.MIN_CHUNK: the
+    # pool runs, and its chunks reproduce the single-process search bitwise
+    one = search.optimize_protocol(rho_s, rho_a, restarts=64, iters=20, seed=7)
+    two = search.optimize_protocol(
+        rho_s, rho_a, restarts=64, iters=20, seed=7, workers=2
+    )
+    assert (one.processes, two.processes) == (1, 2)
+    assert one.trace == two.trace
+    assert one.best_round.u_alice.tobytes() == two.best_round.u_alice.tobytes()
+    assert one.best_round.u_bob.tobytes() == two.best_round.u_bob.tobytes()
+    assert one.evaluations == two.evaluations
+    assert one.to_dict() == two.to_dict()
+    assert "processes" not in one.to_dict()
+
+
+def test_small_search_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 2-restart search started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    w = states.werner(0.9)
+    rep = search.optimize_protocol(w, w, restarts=2, iters=20, seed=0, workers=2)
+    assert rep.processes == 1
+    assert len(rep.trace) == 2
 
 
 def test_trace_has_one_entry_per_restart():
@@ -276,16 +303,24 @@ def test_optimize_rejects_bad_workers():
 
 
 def test_restart_chunks_cover_restarts_in_order():
+    # a second process only when every chunk gets search.MIN_CHUNK restarts
+    assert search.MIN_CHUNK == 16
     assert search._restart_chunks(64, 2) == [range(0, 32), range(32, 64)]
-    assert search._restart_chunks(2, 512) == [range(0, 1), range(1, 2)]
+    assert search._restart_chunks(31, 2) == [range(0, 31)]
+    assert search._restart_chunks(32, 2) == [range(0, 16), range(16, 32)]
+    assert search._restart_chunks(2, 512) == [range(0, 2)]
     assert search._restart_chunks(7, 1) == [range(0, 7)]
-    for restarts in range(1, 12):
+    assert search._restart_chunks(50, 8) == [
+        range(0, 16), range(16, 33), range(33, 50)
+    ]
+    for restarts in [*range(1, 70), 127, 128, 300]:
         for workers in range(1, 14):
             chunks = search._restart_chunks(restarts, workers)
-            assert len(chunks) == min(workers, restarts)
+            assert len(chunks) == max(1, min(workers, restarts // 16))
             assert [i for c in chunks for i in c] == list(range(restarts))
             sizes = [len(c) for c in chunks]
             assert max(sizes) - min(sizes) <= 1
+            assert len(chunks) == 1 or min(sizes) >= 16
 
 
 def test_round_scorer_results_survive_later_stacks():
