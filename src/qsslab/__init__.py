@@ -6,6 +6,8 @@ import importlib
 from . import config, entanglement, linalg, protocol, qss, search, states
 from .errors import QsslabError
 
+__version__ = "0.1.0"
+
 __all__ = [
     "cli",
     "config",

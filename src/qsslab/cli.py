@@ -12,11 +12,10 @@ import hashlib
 import json
 import os
 import sys
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
-from . import entanglement, protocol, qss, search, states
+from . import __version__, entanglement, protocol, qss, search, states
 from .config import TOLERANCES
 from .errors import (
     BadParameters,
@@ -25,11 +24,6 @@ from .errors import (
     ParseError,
     QsslabError,
 )
-
-try:
-    _VERSION = version("qsslab")
-except PackageNotFoundError:
-    _VERSION = "0+unknown"
 
 CONFIG_HASH = hashlib.sha256(
     json.dumps(TOLERANCES, sort_keys=True).encode()
@@ -123,7 +117,7 @@ def make_report(command, inputs, results, seed):
         "inputs": inputs,
         "results": results,
         "seed": seed,
-        "versions": {"artifact": _VERSION, "config_hash": CONFIG_HASH,
+        "versions": {"artifact": __version__, "config_hash": CONFIG_HASH,
                      "tolerances": TOLERANCES},
     }
 

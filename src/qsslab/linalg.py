@@ -84,8 +84,10 @@ def takagi(s):
     # eigenvectors of a generic real combination are a real orthogonal o
     # with o^T Z o diagonal: q = o sqrt(o^T Z o) o^T stays right where
     # rounding splits a repeated eigenvalue -1 across sqrt's branch cut.
-    # 1x1 blocks and zero groups, whose Z need not be symmetric, take the
-    # root of the normal Z from one eigendecomposition.
+    # 1x1 blocks, whose Z need not be symmetric, take the root of the
+    # normal Z from one eigendecomposition. A zero group adds nothing to
+    # u d u^T, so any unitary root serves it: the identity keeps u exactly
+    # unitary where Z's eigenvalues cluster and eig's vectors would not.
     scale = d[0] if d.size and d[0] > 0 else 1.0
     gap = 1e-8 * scale
     q = np.zeros_like(s)
@@ -94,7 +96,9 @@ def takagi(s):
         if i == len(d) or d[start] - d[i] > gap:
             idx = np.arange(start, i)
             z = v[:, idx].T @ w[:, idx]
-            if len(idx) > 1 and d[start] > gap:
+            if d[start] <= gap:
+                root = np.eye(len(idx))
+            elif len(idx) > 1:
                 o = np.linalg.eigh(z.real + np.sqrt(0.5) * z.imag)[1]
                 root = (o * np.sqrt(np.diagonal(o.T @ z @ o))) @ o.T
             else:

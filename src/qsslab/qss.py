@@ -4,6 +4,8 @@ A state is quasi-separable (QSS) when some reweighting of one of its
 pure-state decompositions is separable. Full-rank states always are (the
 uniform reweighting of the eigenbasis is maximally mixed); rank-deficient
 two-qubit states are decided through the diagonal spin-flip decomposition;
+separable states are their own certificate; 2xN and Nx2 states of rank at
+least N get one in closed form from product vectors spanning their range;
 everything else gets a budgeted derivative-free search.
 
 A QSS verdict always carries a certificate that is re-verified before it
@@ -133,6 +135,108 @@ def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
     return QssVerdict(QSS, (ens, wq), evidence)
 
 
+# ---------------------------------------------------------------------------
+# range view of 2xN and Nx2 states
+#
+# Any reweighting with weights above zero keeps range(rho), and any state
+# sigma with that range is one: with rho = X X^dagger, M = X^+ sigma
+# X^+dagger = V D V^dagger and z_i = X v_i give rho = sum z_i z_i^dagger and
+# sigma = sum d_i z_i z_i^dagger. So rho is QSS when product vectors span
+# its range, and their projectors sum to a separable sigma. The product
+# vectors a (x) b in the range solve (a_0 Q_0 + a_1 Q_1) b = 0, where the
+# rows of Q span the range's orthogonal complement and Q_i is Q's slice at
+# the qubit's basis state i (Kraus, Cirac, Karnas and Lewenstein 2000, PRA
+# 61, 062302).
+
+# mu of the square pencil's eigenproblem (Q_0 + mu Q_1)^-1 Q_1
+PENCIL_SHIFT = 0.6 + 0.8j
+# a product vector farther than this from the range is not in it
+RANGE_RESIDUAL = 1e-9
+# smallest singular value, relative to the largest, of a spanning set
+# whitened by X^+
+SPAN_FLOOR = 1e-6
+
+
+def range_product_vectors(rho: states.QuantumState):
+    """Unit product vectors in the range of a 2xN or Nx2 state of rank
+    N <= r < 2N, as the rows of a (k, 2N) array; None for any other input,
+    or when a vector fails its residual check.
+
+    For r = N the pencil (Q_0 + t Q_1) b = 0 is square: with
+    t = mu - 1/lambda it is the eigenproblem of (Q_0 + mu Q_1)^-1 Q_1, and
+    lambda = 0 is t = infinity, where Q_1 b = 0. Generically its N
+    eigenvectors give k = N product vectors. For r > N the pencil has a
+    kernel of dimension r - N for every t; r points t on the unit circle
+    give k = r (r - N) vectors, a whole kernel basis at each.
+    """
+    dims = tuple(rho.dims)
+    if len(dims) != 2 or 2 not in dims:
+        return None
+    n = rho.dim // 2
+    vals, vecs = rho.eigensystem()
+    rank = linalg.numerical_rank(vals)
+    if not n <= rank < 2 * n:
+        return None
+    complement = vecs[:, rank:]
+    # Q as (rows, qubit, n)
+    q = np.conj(complement.T).reshape((-1,) + dims)
+    if dims[0] != 2:
+        q = q.swapaxes(1, 2)
+    if rank == n:
+        try:
+            lam, b = np.linalg.eig(
+                np.linalg.solve(q[:, 0] + PENCIL_SHIFT * q[:, 1], q[:, 1]))
+        except np.linalg.LinAlgError:
+            return None
+        a = np.stack([lam, PENCIL_SHIFT * lam - 1.0], axis=1)
+        b = b.T
+    else:
+        t = np.exp(2j * np.pi * (np.arange(rank) + 0.5) / rank)
+        vh = np.linalg.svd(q[:, 0] + t[:, None, None] * q[:, 1])[2]
+        b = np.conj(vh[:, 2 * n - rank:]).reshape(-1, n)
+        a = np.stack([np.ones(len(b)), np.repeat(t, rank - n)], axis=1)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    prod = a[:, :, None] * b[:, None, :]
+    if dims[0] != 2:
+        prod = prod.swapaxes(1, 2)
+    prod = prod.reshape(len(b), -1)
+    # |Q (a (x) b)|; a NaN from a singular pencil fails too
+    if not np.all(np.linalg.norm(prod @ np.conj(complement), axis=1)
+                  <= RANGE_RESIDUAL):
+        return None
+    return prod
+
+
+def range_certificate(rho: states.QuantumState) -> QssVerdict | None:
+    """Certificate from product vectors spanning range(rho) (see
+    range_product_vectors): the reweighting of {z_i} by q_i ~ d_i |z_i|^2
+    is the normalized sum of their projectors. None, never an exception,
+    when there is no spanning set, the set is ill-conditioned or the
+    certificate fails verify_certificate.
+    """
+    prod = range_product_vectors(rho)
+    if prod is None:
+        return None
+    ens = states.spectral_ensemble(rho)
+    # X^+ applied to the product vectors: column k is X^+ |a_k b_k>
+    c = np.conj(np.array(ens.vectors)) @ prod.T
+    c /= np.sqrt(ens.weights)[:, None]
+    v, s, _ = np.linalg.svd(c)
+    if s[-1] < SPAN_FLOOR * s[0]:
+        return None
+    z_ens = states.transform_ensemble(ens, v.T)
+    weights = s * s * z_ens.weights
+    weights /= weights.sum()
+    if not verify_certificate(rho, z_ens, weights):
+        return None
+    evidence = {"rank": len(ens), "route": "range-product-vectors",
+                "product_vectors": len(prod)}
+    if rho.dim > 6:
+        evidence["separability"] = PPT_ONLY
+    return QssVerdict(QSS, (z_ens, weights), evidence)
+
+
 def _check_budget(budget):
     if budget < 1:
         raise BadParameters(f"budget must be >= 1, got {budget}")
@@ -147,8 +251,9 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
     Each climb scores its runs of candidates (see linalg.pattern_search)
     in one stacked call; its decisions are those of a climb that scores
     one candidate at a time. Deterministic for a fixed seed. classify calls
-    it only after the full-rank and separability routes, so it runs
-    neither check itself. A budget below 1 raises BadParameters.
+    it only after the full-rank, separability and range routes, so it
+    runs neither of the first two checks itself. A budget below 1 raises
+    BadParameters.
     """
     _check_budget(budget)
     if len(rho.dims) < 2:
@@ -235,14 +340,17 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
 
 def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     """Full pipeline: full rank -> two-qubit criterion, or separable ->
-    heuristic search.
+    range product vectors (2xN, Nx2) -> heuristic search.
 
     The full-rank route runs first so full-rank states always get the
     canonical uniform-weights certificate (reweighting to I/d), whether or
     not they happen to be separable already. The two-qubit criterion runs
-    its own separability test first. An entangled pure state beyond two
-    qubits is a NOT_QSS_CANDIDATE, as a two-qubit one is: its only
-    decomposition is itself. A budget below 1 raises BadParameters on
+    its own separability test first. An entangled 2xN or Nx2 state of
+    rank at least N then tries range_certificate; when that finds no
+    verified certificate, it and every other input go on to the heuristic
+    search, the only route the budget bounds. An entangled pure state
+    beyond two qubits is a NOT_QSS_CANDIDATE, as a two-qubit one is: its
+    only decomposition is itself. A budget below 1 raises BadParameters on
     every route.
     """
     _check_budget(budget)
@@ -257,6 +365,9 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
             evidence["separability"] = PPT_ONLY
         ens = states.spectral_ensemble(rho)
         return _verified(rho, ens, ens.weights, evidence)
+    verdict = range_certificate(rho)
+    if verdict is not None:
+        return verdict
     verdict = heuristic_search(rho, budget=budget, seed=seed)
     if verdict.evidence.get("route") == "rank-1":
         return QssVerdict(NOT_QSS_CANDIDATE, evidence=verdict.evidence)

@@ -256,6 +256,26 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert json.loads(proc.stdout)["command"] == "reproduce-cnot"
 
 
+def test_cli_import_skips_package_metadata():
+    # the version is a literal in qsslab/__init__.py: no CLI run imports
+    # importlib.metadata or scans the installed distributions
+    env = dict(os.environ, PYTHONPATH=str(Path(qsslab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsslab.cli; print('importlib.metadata' in sys.modules, "
+         "qsslab.__version__)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0.1.0"]
+
+
+def test_report_carries_the_package_version():
+    code, doc = cli.run_command(["reproduce-cnot"])
+    assert code == 0
+    assert doc["versions"]["artifact"] == qsslab.__version__ == "0.1.0"
+
+
 NUMPY_ONLY_PROBE = """
 import json, sys
 from qsslab import cli

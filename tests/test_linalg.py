@@ -152,6 +152,26 @@ def test_takagi_repeated_eigenvalue_on_the_branch_cut():
     assert np.max(np.abs(d - [1.0, 1.0, 0.0, 0.0])) <= 1e-12
 
 
+def test_takagi_zero_groups_stay_unitary():
+    # rank-1 inputs: Z's three-dimensional zero group has clustered
+    # eigenvalues, where a complex eigendecomposition's vectors lose
+    # orthogonality (unitarity error up to 2.7e-11 over these seeds; the
+    # identity root gives 2.0e-15)
+    worst = 0.0
+    for seed in range(3000):
+        rng = np.random.default_rng([71, seed])
+        d = rng.uniform(0.1, 1.0)
+        if seed % 2:
+            o = linalg.haar_unitary_from_rng(4, rng)
+        else:
+            o = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        s = d * np.outer(o[:, 0], o[:, 0])
+        u, dt = linalg.takagi(s)
+        assert np.max(np.abs(u @ np.diag(dt) @ u.T - s)) <= 1e-14
+        worst = max(worst, np.max(np.abs(u @ linalg.dagger(u) - np.eye(4))))
+    assert worst <= 1e-13
+
+
 def test_takagi_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         linalg.takagi(np.array([[0.0, 1.0], [0.5, 0.0]]))

@@ -7,6 +7,8 @@ from qsslab.config import TOLERANCES
 from qsslab.errors import BadParameters, DimensionMismatch
 from conftest import bell_projector, eq10_source, eq11_ancilla
 
+_SEEDS = st.integers(0, 2**32 - 1)
+
 
 def test_full_rank_certificate_werner():
     verdict = qss.full_rank_certificate(states.werner(0.9))
@@ -186,6 +188,77 @@ def test_heuristic_search_climbs_with_the_shared_run_length(monkeypatch):
     assert seen and set(seen) == {linalg.run_length(1)}
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_classify_certifies_rank_3_golden_states_from_the_range(seed):
+    # the heuristic spends its budget on these and returns UNKNOWN
+    rho = states.random_density((2, 3), rank=3, seed=seed)
+    verdict = qss.classify(rho, budget=1000, seed=seed)
+    assert verdict.status == qss.QSS
+    assert verdict.evidence == {"rank": 3, "route": "range-product-vectors",
+                                "product_vectors": 3}
+    assert qss.verify_certificate(rho, *verdict.certificate)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_classify_keeps_the_heuristic_verdict_on_rank_2_golden_states(seed):
+    # rank 2 < N = 3: the range route does not apply
+    rho = states.random_density((2, 3), rank=2, seed=seed)
+    assert qss.range_product_vectors(rho) is None
+    verdict = qss.classify(rho, budget=1000, seed=seed)
+    status, best, evals = HEURISTIC_GOLDEN[2, seed]
+    assert verdict.status == status
+    assert verdict.certificate is None
+    assert verdict.evidence == {"rank": 2, "budget": 1000,
+                                "best_pt_eigenvalue": best,
+                                "evaluations": evals}
+
+
+@pytest.mark.parametrize("rank, seed", [(3, 0), (3, 5), (4, 1)])
+def test_range_route_failures_fall_through_to_the_heuristic(rank, seed,
+                                                            monkeypatch):
+    # with every spanning set counted as ill-conditioned, classify returns
+    # the heuristic's verdict unchanged
+    monkeypatch.setattr(qss, "SPAN_FLOOR", 2.0)
+    rho = states.random_density((2, 3), rank=rank, seed=seed)
+    assert qss.range_certificate(rho) is None
+    verdict = qss.classify(rho, budget=1000, seed=seed)
+    got = (verdict.status, verdict.evidence["best_pt_eigenvalue"],
+           verdict.evidence["evaluations"])
+    assert got == HEURISTIC_GOLDEN[rank, seed]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(seed=_SEEDS, n=st.sampled_from([3, 4]), extra=st.integers(0, 3),
+       qubit_first=st.booleans())
+def test_range_route_certifies_2xN_states_of_rank_N_and_above(
+        seed, n, extra, qubit_first):
+    rank = n + extra % n  # N to 2N - 1
+    dims = (2, n) if qubit_first else (n, 2)
+    rho = states.random_density_from_rng(dims, np.random.default_rng(seed),
+                                         rank=rank)
+    verdict = qss.range_certificate(rho)
+    assert verdict is not None and verdict.status == qss.QSS
+    assert qss.verify_certificate(rho, *verdict.certificate)
+    want = {"rank": rank, "route": "range-product-vectors",
+            "product_vectors": n if rank == n else rank * (rank - n)}
+    if 2 * n > 6:
+        want["separability"] = qss.PPT_ONLY
+    assert verdict.evidence == want
+    assert qss.classify(rho, budget=1).status == qss.QSS
+
+
+def test_range_route_agrees_with_the_two_qubit_criterion():
+    for s in range(300):
+        rng = np.random.default_rng([9, s])
+        rho = states.random_density_from_rng((2, 2), rng,
+                                             rank=2 + s % 2)
+        verdict = qss.range_certificate(rho)
+        closed_form = qss.reweight_certificate_2q(rho)
+        assert (verdict is not None) == (closed_form.status == qss.QSS)
+        if verdict is not None:
+            assert qss.verify_certificate(rho, *verdict.certificate)
+
+
 def _pure_entangled_2x3():
     return states.pure_state(
         np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) / np.sqrt(2), (2, 3))
@@ -215,9 +288,10 @@ def test_classify_pure_entangled_states_are_candidates_in_any_dims():
     states.pure_state(states.PHI_PLUS),
     states.QuantumState(np.kron(np.diag([1.0, 0.0]), np.eye(3) / 3), (2, 3)),
     states.random_density((2, 3), rank=2, seed=0),
+    states.random_density((2, 3), rank=3, seed=0),
     _pure_entangled_2x3(),
 ], ids=["full-rank", "2q-rank-2", "2q-pure", "2x3-separable", "2x3-rank-2",
-        "2x3-pure"])
+        "2x3-rank-3", "2x3-pure"])
 @pytest.mark.parametrize("budget", [0, -3])
 def test_budgets_below_one_are_bad_parameters(rho, budget):
     with pytest.raises(BadParameters):
@@ -235,9 +309,6 @@ def _rank_deficient_2q(seed, rank, p):
     m = sum(w * np.outer(v, np.conj(v)) for w, v in zip(
         weights, (states.random_pure_from_rng((2, 2), rng) for _ in weights)))
     return states.QuantumState(m, (2, 2))
-
-
-_SEEDS = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
