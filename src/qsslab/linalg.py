@@ -83,11 +83,10 @@ def takagi(s):
     # symmetric unitary's real and imaginary parts commute, so the
     # eigenvectors of a generic real combination are a real orthogonal o
     # with o^T Z o diagonal: q = o sqrt(o^T Z o) o^T stays right where
-    # rounding splits a repeated eigenvalue -1 across sqrt's branch cut.
-    # 1x1 blocks, whose Z need not be symmetric, take the root of the
-    # normal Z from one eigendecomposition. A zero group adds nothing to
-    # u d u^T, so any unitary root serves it: the identity keeps u exactly
-    # unitary where Z's eigenvalues cluster and eig's vectors would not.
+    # rounding splits a repeated eigenvalue -1 across sqrt's branch cut; a
+    # 1x1 block is symmetric too, and gets o = 1. A zero group adds nothing
+    # to u d u^T, so any unitary root serves it: the identity keeps u
+    # exactly unitary where Z's eigenvalues cluster.
     scale = d[0] if d.size and d[0] > 0 else 1.0
     gap = 1e-8 * scale
     q = np.zeros_like(s)
@@ -98,12 +97,9 @@ def takagi(s):
             z = v[:, idx].T @ w[:, idx]
             if d[start] <= gap:
                 root = np.eye(len(idx))
-            elif len(idx) > 1:
+            else:
                 o = np.linalg.eigh(z.real + np.sqrt(0.5) * z.imag)[1]
                 root = (o * np.sqrt(np.diagonal(o.T @ z @ o))) @ o.T
-            else:
-                lam, vec = np.linalg.eig(z)
-                root = (vec * np.sqrt(lam)) @ np.linalg.inv(vec)
             q[np.ix_(idx, idx)] = root
             start = i
     u = v @ np.conj(q)

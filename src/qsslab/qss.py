@@ -76,11 +76,19 @@ def _verified(rho, ensemble, weights, evidence):
     return QssVerdict(QSS, (ensemble, np.asarray(weights, dtype=float)), evidence)
 
 
+def _separable_certificate(rho):
+    """A separable rho certifies itself at its spectral weights."""
+    ens = states.spectral_ensemble(rho)
+    evidence = {"rank": len(ens), "route": "already-separable"}
+    if rho.dim > 6:
+        evidence["separability"] = PPT_ONLY
+    return _verified(rho, ens, ens.weights, evidence)
+
+
 def full_rank_certificate(rho: states.QuantumState) -> QssVerdict:
     """Theorem-2 route: full rank means the uniform reweighting of the
     eigenbasis is I/d, which is separable."""
-    vals, _ = rho.eigensystem()
-    rank = linalg.numerical_rank(vals)
+    rank = rho.rank()
     d = rho.dim
     if rank < d:
         return QssVerdict(UNKNOWN, evidence={"rank": rank})
@@ -104,14 +112,11 @@ def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
     """
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 system, got dims {rho.dims}")
-    rank = rho.rank()
     if entanglement.separable(rho):
-        ens = states.spectral_ensemble(rho)
-        return _verified(rho, ens, ens.weights,
-                         {"rank": rank, "route": "already-separable"})
+        return _separable_certificate(rho)
     md = entanglement.magic_decomposition(rho)
     lam = md.lambda_primes
-    evidence = {"lambda_primes": lam, "rank": rank}
+    evidence = {"lambda_primes": lam, "rank": len(md.z_states)}
     if np.all(lam[1:] <= TOLERANCES["concurrence_zero"]):
         return QssVerdict(NOT_QSS_CANDIDATE, evidence=evidence)
 
@@ -262,7 +267,7 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
     d = rho.dim
     ens = states.spectral_ensemble(rho)
     l = len(ens)
-    evidence = {"rank": rho.rank(), "budget": budget}
+    evidence = {"rank": l, "budget": budget}
 
     if l == 1:
         evidence["route"] = "rank-1"
@@ -360,11 +365,7 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     if tuple(rho.dims) == (2, 2):
         return reweight_certificate_2q(rho)
     if entanglement.separable(rho):
-        evidence = {"route": "already-separable", "rank": rho.rank()}
-        if rho.dim > 6:
-            evidence["separability"] = PPT_ONLY
-        ens = states.spectral_ensemble(rho)
-        return _verified(rho, ens, ens.weights, evidence)
+        return _separable_certificate(rho)
     verdict = range_certificate(rho)
     if verdict is not None:
         return verdict

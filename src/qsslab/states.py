@@ -123,11 +123,8 @@ def spectral_ensemble(rho: QuantumState) -> Ensemble:
     Eigenvalues below the rank cutoff are dropped.
     """
     vals, vecs = rho.eigensystem()
-    cutoff = TOLERANCES["rank_cutoff_rel"] * max(np.max(vals), 0.0)
-    members = []
-    for i, lam in enumerate(vals):
-        if lam > cutoff:
-            members.append((float(lam), vecs[:, i]))
+    members = [(float(vals[i]), vecs[:, i])
+               for i in range(linalg.numerical_rank(vals))]
     total = sum(w for w, _ in members)
     members = [(w / total, v) for w, v in members]
     return Ensemble(tuple(members), rho.dims)

@@ -488,21 +488,48 @@ def _ket(rng, d):
     return v / np.linalg.norm(v)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(seed=_SEEDS, log_eps=st.floats(-7.0, -3.0), log_w=st.floats(-3.0, 0.0))
-def test_near_product_rank_two_states_classify_soundly(seed, log_eps, log_w):
-    # (1 - w)|v><v| + w|a b_perp><a b_perp| with v close to the product a b:
-    # entangled but within the PPT tolerance of separable for small eps
-    rng = np.random.default_rng(seed)
+def _near_product(rng, log_eps, log_w):
+    """(1 - w)|v><v| + w|a b_perp><a b_perp| with v close to the product
+    a b: entangled but within the PPT tolerance of separable for small
+    eps. Returns the state and its generating factor
+    F = [sqrt(1 - w) v, sqrt(w) a b_perp], rho = F F^dagger."""
     a, b, r = _ket(rng, 2), _ket(rng, 2), _ket(rng, 4)
     b_perp = np.array([-np.conj(b[1]), np.conj(b[0])])
     v = np.kron(a, b) + 10.0**log_eps * r
     v /= np.linalg.norm(v)
     u = np.kron(a, b_perp)
     w = 10.0**log_w
+    f = np.stack([np.sqrt(1 - w) * v, np.sqrt(w) * u], axis=1)
     m = (1 - w) * np.outer(v, np.conj(v)) + w * np.outer(u, np.conj(u))
-    rho = states.QuantumState((m + np.conj(m.T)) / 2, (2, 2))
+    return states.QuantumState((m + np.conj(m.T)) / 2, (2, 2)), f
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=_SEEDS, log_eps=st.floats(-7.0, -3.0), log_w=st.floats(-3.0, 0.0))
+def test_near_product_rank_two_states_classify_soundly(seed, log_eps, log_w):
+    rho, f = _near_product(np.random.default_rng(seed), log_eps, log_w)
+    if rho.rank() == 2:
+        # the spin-flip spectrum of rho = F F^dagger is sigma(F^T Y2 F);
+        # at rank 1 the rank cutoff has dropped F's lighter column
+        want = np.zeros(4)
+        want[:2] = np.linalg.svd(f.T @ entanglement.Y2 @ f, compute_uv=False)
+        got = entanglement.lambda_spectrum(rho)
+        assert np.max(np.abs(got - want)) <= 1e-11
     verdict = qss.classify(rho)  # must not raise
     if verdict.status == qss.QSS:
         ens, wq = verdict.certificate
         assert qss.verify_certificate(rho, ens, wq)
+
+
+# members of the seeded near-product family, eps = 10^U(-7, -3) and
+# w = 10^U(-3, 0) drawn first from default_rng([44, s]), whose lambda'_2
+# lies between concurrence_zero and 1e-8
+@pytest.mark.parametrize("seed", [1041, 2680])
+def test_boundary_near_product_states_get_a_verified_certificate(seed):
+    rng = np.random.default_rng([44, seed])
+    log_eps, log_w = rng.uniform(-7.0, -3.0), rng.uniform(-3.0, 0.0)
+    rho, _ = _near_product(rng, log_eps, log_w)
+    verdict = qss.classify(rho)
+    assert verdict.status == qss.QSS
+    ens, wq = verdict.certificate
+    assert qss.verify_certificate(rho, ens, wq)
