@@ -152,11 +152,14 @@ def _parse_seed(value):
     if value == "random":
         return int.from_bytes(os.urandom(8), "big")
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
+        seed = None
+    if seed is None or seed < 0:
         raise BadParameters(
-            f"--seed must be an integer or 'random', got {value!r}"
-        ) from None
+            f"--seed must be a non-negative integer or 'random', got {value!r}"
+        )
+    return seed
 
 
 def _default_workers():
@@ -181,7 +184,8 @@ def build_parser():
     def add(name, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--seed", default="0",
-                        help="integer seed, or 'random' (default 0)")
+                        help="non-negative integer seed, or 'random' "
+                        "(default 0)")
         sp.add_argument("--workers", type=int, default=None,
                         help="most processes for search restarts; a second "
                         f"one starts only when each gets {search.MIN_CHUNK} "

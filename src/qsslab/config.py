@@ -17,12 +17,11 @@ TOLERANCES = {
     # verdicts
     "ppt_min_eig": -1e-10,
     "concurrence_zero": 1e-9,
-    "purity_pure": 1e-9,  # pure iff tr(rho^2) >= 1 - this
     # protocol simulation
     "probability_floor": 1e-12,  # outcomes below this get no post state
-    # search success predicate
+    # search success predicate; success also needs a post state of rank 1
     "success_probability": 1e-6,
-    "success_purity": 1e-6,  # purity >= 1 - this
+    "success_purity": 1e-6,  # score only: margin is 1 at purity >= 1 - this
     "success_entanglement": 1e-3,
     # certificate weights never drop a member entirely
     "min_certificate_weight": 1e-6,

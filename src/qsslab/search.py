@@ -26,8 +26,9 @@ _P_ENT = TOLERANCES["success_entanglement"]
 def outcome_score(prob, post_matrix, dims):
     """Product of probability, purity, and entanglement margins in [0, 1].
 
-    Equals 1 exactly when the outcome meets the success predicate
-    (probability > 1e-6, purity >= 1 - 1e-6, entanglement >= 1e-3).
+    A score of 1 (probability >= 1e-6, purity >= 1 - 1e-6, entanglement
+    >= 1e-3) is necessary, not sufficient: outcome_success also needs a
+    rank-1 post state, and a mixed outcome at 1 is a conservative miss.
     """
     if prob <= 0.0 or post_matrix is None:
         return 0.0
@@ -69,11 +70,10 @@ def _entanglement_witness(posts, dims):
 
 
 def outcome_success(prob, post_state: states.QuantumState) -> bool:
-    """The exact success predicate, with the entanglement witness that
-    scores an outcome."""
-    if post_state is None or prob <= _P_PROB:
-        return False
-    if states.purity(post_state) < 1.0 - _P_PURITY:
+    """A pure entangled outcome: probability above success_probability, a
+    post state of numerical rank 1 (states.is_pure), and the entanglement
+    witness that scores an outcome at least success_entanglement."""
+    if post_state is None or prob <= _P_PROB or not states.is_pure(post_state):
         return False
     ent = _entanglement_witness(post_state.matrix[None], post_state.dims)[0]
     return bool(ent >= _P_ENT)
@@ -276,6 +276,8 @@ def optimize_protocol(
     """
     if restarts < 1:
         raise BadParameters("restarts must be >= 1")
+    if iters < 1:
+        raise BadParameters("iters must be >= 1")
     if workers < 1:
         raise BadParameters("workers must be >= 1")
     bases = _restart_bases(rho_s, rho_a, restarts, seed)

@@ -176,7 +176,7 @@ def purity(rho: QuantumState) -> float:
 
 
 def is_pure(rho: QuantumState) -> bool:
-    return purity(rho) >= 1.0 - TOLERANCES["purity_pure"]
+    return rho.rank() == 1
 
 
 def fidelity_pure(rho: QuantumState, psi) -> float:

@@ -4,12 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s`. All randomness is seeded;
 the suite is deterministic and independent of worker count.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
-from qsslab import entanglement, linalg, protocol, qss, search, states
+from qsslab import cli, entanglement, linalg, protocol, qss, search, states
 from conftest import eq10_source, eq11_ancilla
 
 
@@ -203,25 +204,25 @@ def _theorem3_source(rng):
     return states.QuantumState(m, (2, 2))
 
 
+def _theorem3_pair(rng):
+    """Criterion 6's (source, pure product ancilla) pair."""
+    rho_s = _theorem3_source(rng)
+    rho_a = states.pure_state(
+        np.kron(
+            states.random_pure_from_rng((2,), rng),
+            states.random_pure_from_rng((2,), rng),
+        )
+    )
+    return rho_s, rho_a
+
+
 def test_criterion_6_theorem3_probe():
     rng = np.random.default_rng(6)
     successes = 0
     for i in range(25):
-        rho_s = _theorem3_source(rng)
-        rho_a = states.pure_state(
-            np.kron(
-                states.random_pure_from_rng((2,), rng),
-                states.random_pure_from_rng((2,), rng),
-            )
-        )
-        # Budget note: at much larger budgets (16x300) the optimizer can
-        # park an outcome in the finite-tolerance corner where purity sits
-        # inside [1-1e-6, 1) while concurrence is barely above 1e-3. Such
-        # outcomes are slightly mixed, not pure entangled, so they do not
-        # contradict the impossibility statement; the budget below keeps
-        # the probe away from that artifact region.
+        rho_s, rho_a = _theorem3_pair(rng)
         rep = search.optimize_protocol(
-            rho_s, rho_a, restarts=16, iters=100, seed=i
+            rho_s, rho_a, restarts=16, iters=500, seed=i
         )
         if rep.success:
             successes += 1
@@ -252,6 +253,30 @@ def test_criterion_6_theorem3_probe():
         f"25 negative instances: {successes} successes; controls "
         f"P={p_cnot:.9f} (want 0.125), P={p_swap:.9f} (want 1.0)",
     )
+
+
+def test_criterion_6_probe_cli_at_default_budget(tmp_path):
+    # case 6, whose best outcome the default budget climbs to a score of 1
+    # while its post state stays of rank 2: a (QSS, QSS) pair, no violation
+    rng = np.random.default_rng(6)
+    for _ in range(7):
+        rho_s, rho_a = _theorem3_pair(rng)
+    paths = []
+    for name, rho in (("s.json", rho_s), ("a.json", rho_a)):
+        path = tmp_path / name
+        path.write_text(json.dumps(states.state_to_dict(rho)))
+        paths.append(str(path))
+    code, doc = cli.run_command(["probe", "--state", paths[0], "--ancilla",
+                                 paths[1], "--seed", "6", "--workers", "2"])
+    res = doc["results"]
+    assert code == 0
+    assert res["verdict_source"]["status"] == qss.QSS
+    assert res["verdict_ancilla"]["status"] == qss.QSS
+    assert res["report"]["best_score"] == 1.0
+    post = states.state_from_dict(res["report"]["best_outcome"]["post_state"])
+    assert post.rank() == 2
+    assert res["report"]["success"] is False
+    assert res["violation"] is False
 
 
 def test_criterion_7_kernel_suite():

@@ -207,10 +207,11 @@ def test_main_writes_to_out(tmp_path, capsys):
 
 
 def test_bad_seed_exits_2():
-    code, doc = cli.run_command(["reproduce-cnot", "--seed", "abc"])
-    assert code == 2
-    assert "--seed" in doc["results"]["error"]
-    assert doc["seed"] is None
+    for seed in ["abc", "-1"]:
+        code, doc = cli.run_command(["reproduce-cnot", "--seed", seed])
+        assert code == 2
+        assert "--seed" in doc["results"]["error"]
+        assert doc["seed"] is None
 
 
 def test_main_bad_seed_exits_2(tmp_path):

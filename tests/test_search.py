@@ -74,6 +74,27 @@ def test_outcome_success_on_2x3_posts_matches_schmidt_route(rng):
 def test_optimize_rejects_bad_restarts():
     with pytest.raises(BadParameters):
         search.optimize_protocol(states.werner(0.9), states.werner(0.9), restarts=0)
+    with pytest.raises(BadParameters):
+        search.optimize_protocol(states.werner(0.9), states.werner(0.9), iters=0)
+
+
+def test_outcome_success_needs_a_rank_one_post():
+    # (1 - eps)|psi><psi| + eps|phi><phi|, phi orthogonal to psi: the score
+    # is 1 up to eps = 4e-7, but the post is pure only at eps = 0
+    rng = np.random.default_rng([16, 0])
+    for dims in [(2, 2), (2, 3)]:
+        psi = states.random_pure_from_rng(dims, rng)
+        phi = states.random_pure_from_rng(dims, rng)
+        phi = phi - np.vdot(psi, phi) * psi
+        phi = phi / np.linalg.norm(phi)
+        for eps in [0.0, 1e-9, 1e-8, 1e-7, 4e-7]:
+            m = (1 - eps) * np.outer(psi, np.conj(psi)) + eps * np.outer(
+                phi, np.conj(phi)
+            )
+            post = states.QuantumState((m + np.conj(m.T)) / 2, dims)
+            assert search.outcome_score(0.5, post.matrix, dims) == 1.0
+            assert states.is_pure(post) == (eps == 0.0)
+            assert search.outcome_success(0.5, post) == (eps == 0.0)
 
 
 def test_optimize_deterministic_and_worker_independent():
