@@ -2,8 +2,8 @@
 
 Everything works on plain complex128 numpy arrays. Operators and kets are
 immutable by convention: no function here mutates its inputs. The
-coordinate pattern search that both the QSS heuristic and the protocol
-search climb with lives here too.
+coordinate pattern search that the protocol search climbs with lives here
+too.
 """
 
 from __future__ import annotations
@@ -217,9 +217,9 @@ def parameterized_unitary(theta, dim):
 # A climb's run holds up to LOOKAHEAD candidates (the two moves of two
 # coordinates), and a stacked call scores about STEP_ROWS rows in all: a
 # call's fixed cost dominates small stacks, while large stacks cost more
-# per row and an improvement discards the rest of its run. Measured fastest
-# per restart of the protocol search: 2-4 at 8 restarts, 2 at 16, 1 at 32
-# and 64.
+# per row and an improvement discards the rest of its run. Only the
+# protocol search climbs; measured fastest per restart: 2-4 at 8
+# restarts, 2 at 16, 1 at 32 and 64.
 LOOKAHEAD = 4
 STEP_ROWS = 32
 

@@ -6,7 +6,8 @@ uniform reweighting of the eigenbasis is maximally mixed); rank-deficient
 two-qubit states are decided through the diagonal spin-flip decomposition;
 separable states are their own certificate; 2xN and Nx2 states of rank at
 least N get one in closed form from product vectors spanning their range;
-everything else gets a budgeted derivative-free search.
+everything else gets the reweighting whose partial transpose has the
+largest smallest eigenvalue, by a log-barrier Newton solve.
 
 A QSS verdict always carries a certificate that is re-verified before it
 is returned. NOT_QSS_CANDIDATE is a candidate status, never a proof.
@@ -248,17 +249,18 @@ def _check_budget(budget):
 
 
 def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
-    """General-dimension fallback: search decompositions and weights for a
-    reweighting whose partial transpose is positive.
+    """General-dimension fallback: the reweighting of rho whose partial
+    transpose has the largest smallest eigenvalue.
 
-    Maximizes the minimum partial-transpose eigenvalue over (unitary mixing
-    of the spectral ensemble, weight simplex) by seeded pattern search.
-    Each climb scores its runs of candidates (see linalg.pattern_search)
-    in one stacked call; its decisions are those of a climb that scores
-    one candidate at a time. Deterministic for a fixed seed. classify calls
-    it only after the full-rank, separability and range routes, so it
-    runs neither of the first two checks itself. A budget below 1 raises
-    BadParameters.
+    Each reweighting of rho = V Lambda V^dagger is V H V^dagger for a
+    density matrix H > 0. This maximizes t s.t. Phi(H) = (V H V^dagger)^T_B
+    >= t I, H >= min_certificate_weight I, by damped Newton steps on a
+    log-barrier path from H = I / l. It stops with a certificate at the
+    first Phi(H) >= 0, when the barrier gap (d + l) mu falls below
+    |ppt_min_eig|, or after `budget` steps. Evidence: best_pt_eigenvalue,
+    that of the last H; pt_eigenvalue_bound, an upper bound over every
+    reweighting (weak duality); evaluations, the steps plus one. No result
+    depends on `seed`. A budget below 1 raises BadParameters.
     """
     _check_budget(budget)
     if len(rho.dims) < 2:
@@ -276,70 +278,78 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
         )
         return QssVerdict(UNKNOWN, evidence=evidence)
 
-    x = np.array([np.sqrt(w) * v for w, v in ens.members])
+    v = np.array(ens.vectors).T
     floor = TOLERANCES["min_certificate_weight"]
-    target = TOLERANCES["ppt_min_eig"]
-    lookahead = linalg.run_length(1)
 
-    def mixing(params):
-        """Mixing unitaries and weights of parameters (..., l^2 + l)."""
-        u = linalg.parameterized_unitary(params[..., : l * l], l)
-        raw = params[..., l * l:]
-        weights = raw * raw + floor
-        return u, weights / weights.sum(axis=-1, keepdims=True)
+    def phi(h):
+        return linalg.partial_transpose(v @ h @ linalg.dagger(v), pt_dims)
 
-    def objective(params):
-        """Scores of a run (k, l^2 + l). The reweighted states are summed
-        member by member, in member order, so each score is bitwise
-        independent of the run length."""
-        u, weights = mixing(params)
-        z = u @ x
-        norms = np.real(np.einsum("kij,kij->ki", np.conj(z), z))
-        scale = weights / norms
-        m = np.zeros((len(params), d, d), dtype=complex)
-        for zi, si in zip(z.swapaxes(0, 1), scale.T):
-            m += si[:, None, None] * (zi[:, :, None] * np.conj(zi[:, None, :]))
-        m /= np.real(np.trace(m, axis1=-2, axis2=-1))[:, None, None]
-        return entanglement.min_pt_eigenvalue(m, pt_dims).tolist()
-
-    best_val, best_theta = -np.inf, None
-    evals = 0
-    restart = 0
-    while evals < budget:
-        if restart == 0:
-            p = np.concatenate([np.zeros(l * l), np.ones(l)])
-        else:
-            r_rng = np.random.default_rng([seed, restart])
-            p = np.concatenate([
-                r_rng.uniform(-np.pi, np.pi, l * l),
-                r_rng.uniform(0.2, 1.0, l),
-            ])
-        climb = linalg.pattern_search(p, budget - evals, target, lookahead)
-        run, _ = next(climb)
+    h = np.eye(l) / l
+    lam, u = np.linalg.eigh(phi(h))
+    # t starts 1/d below the smallest eigenvalue; mu zeroes its gradient
+    t = lam[0] - 1.0 / d
+    mu = 1.0 / np.sum(1.0 / (lam - t))
+    steps = 0
+    while (lam[0] < 0.0 and steps < budget
+           and (d + l) * mu >= -TOLERANCES["ppt_min_eig"]):
+        if steps == 0:
+            # on the first step only: E_k, from the real matrices orthogonal
+            # to I. With H = I / l + sum_k y_k E_k, a unit step in (y, t)
+            # along k moves H by h_dir[k] and Phi(H) - t I by pt_dir[k]
+            x = np.linalg.svd(np.eye(l).ravel()[None])[2][1:].reshape(-1, l, l)
+            basis = (x + x.swapaxes(1, 2) + 1j * (x - x.swapaxes(1, 2))) / 2
+            h_dir = np.concatenate([basis, np.zeros((1, l, l))])
+            pt_dir = np.concatenate([phi(basis), -np.eye(d)[None]])
+        s = lam - t
+        r, w = np.linalg.eigh(h - floor * np.eye(l))
+        # the directions in the barriers' eigenbases, scaled by their
+        # inverse square roots: the traces make the gradient and the Gram
+        # matrix the Hessian, one (n x d^2)(d^2 x n) product
+        a = linalg.dagger(u) @ pt_dir @ u / np.sqrt(np.outer(s, s))
+        b = linalg.dagger(w) @ h_dir @ w / np.sqrt(np.outer(r, r))
+        a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+        grad = a[:, ::d + 1].real.sum(axis=1) + b[:, ::l + 1].real.sum(axis=1)
+        grad[-1] += 1.0 / mu
+        gram = (a @ linalg.dagger(a)).real + (b @ linalg.dagger(b)).real
         try:
-            while True:
-                run, _ = climb.send(objective(np.array(run)))
-        except StopIteration as stop:
-            val, theta, used = stop.value
-        evals += used
-        if val > best_val:
-            best_val, best_theta = val, theta
-        if best_val >= target:
+            step = np.linalg.solve(gram, grad)
+        except np.linalg.LinAlgError:  # rounding, far down the path
             break
-        restart += 1
+        # the step's local norm, the Newton decrement: a step of local
+        # norm below 1 stays inside both barriers
+        dec = np.sqrt(np.linalg.norm(step @ a) ** 2
+                      + np.linalg.norm(step @ b) ** 2)
+        step /= 1.0 + dec
+        h = h + np.tensordot(step[:-1], basis, 1)
+        t += step[-1]
+        if dec < 2.0:  # near the central path: move along it
+            mu *= 0.1
+        steps += 1
+        lam, u = np.linalg.eigh(phi(h))
 
-    evidence["best_pt_eigenvalue"] = float(best_val)
-    evidence["evaluations"] = evals
-    if best_val >= target:
-        u, weights = mixing(best_theta)
-        z_ens = states.transform_ensemble(ens, u)
-        evidence["route"] = "heuristic-search"
-        if d > 6:
-            evidence["separability"] = PPT_ONLY
-        try:
-            return _verified(rho, z_ens, weights, evidence)
-        except QsslabError:
-            pass
+    s = lam - t
+    sigma = v @ h @ linalg.dagger(v)
+    best = entanglement.min_pt_eigenvalue(sigma / np.trace(sigma).real,
+                                          pt_dims)
+    # for P = S / tr S and every H: lambda_min(Phi(H)) <= tr(P Phi(H)) =
+    # tr(V^dagger P^T_B V H) <= lambda_max(V^dagger P^T_B V)
+    p = linalg.partial_transpose((u / s) @ linalg.dagger(u), pt_dims)
+    evidence["best_pt_eigenvalue"] = best
+    evidence["pt_eigenvalue_bound"] = float(np.linalg.eigvalsh(
+        linalg.dagger(v) @ p @ v)[-1] / np.sum(1.0 / s))
+    evidence["evaluations"] = steps + 1
+    if best >= 0.0:
+        # z_i = V sqrt(Lambda) w_i for Lambda^-1/2 H Lambda^-1/2 = W D W^dagger
+        root = 1.0 / np.sqrt(ens.weights)
+        dw, wv = np.linalg.eigh(root[:, None] * h * root)
+        z_ens = states.transform_ensemble(ens, wv.T)
+        weights = dw * z_ens.weights
+        weights /= weights.sum()
+        if verify_certificate(rho, z_ens, weights):
+            evidence["route"] = "heuristic-search"
+            if d > 6:
+                evidence["separability"] = PPT_ONLY
+            return QssVerdict(QSS, (z_ens, weights), evidence)
     return QssVerdict(UNKNOWN, evidence=evidence)
 
 
@@ -353,10 +363,10 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     its own separability test first. An entangled 2xN or Nx2 state of
     rank at least N then tries range_certificate; when that finds no
     verified certificate, it and every other input go on to the heuristic
-    search, the only route the budget bounds. An entangled pure state
-    beyond two qubits is a NOT_QSS_CANDIDATE, as a two-qubit one is: its
-    only decomposition is itself. A budget below 1 raises BadParameters on
-    every route.
+    search, the only route the budget bounds: it caps its Newton steps. An
+    entangled pure state beyond two qubits is a NOT_QSS_CANDIDATE, as a
+    two-qubit one is: its only decomposition is itself. A budget below 1
+    raises BadParameters on every route. No verdict depends on `seed`.
     """
     _check_budget(budget)
     verdict = full_rank_certificate(rho)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsslab import entanglement, linalg, protocol, qss, search, states
+from qsslab.config import TOLERANCES
 from qsslab.errors import BadParameters
 from conftest import eq10_source, eq11_ancilla
 
@@ -52,23 +53,35 @@ def test_optimize_finds_swap_via_seed():
 
 def test_outcome_success_on_2x3_posts_matches_schmidt_route(rng):
     def schmidt_route(prob, post):  # the predicate's former 2x3 branch
-        if prob <= 1e-6 or states.purity(post) < 1.0 - 1e-6:
+        vals, vecs = np.linalg.eigh(post.matrix)
+        if prob <= 1e-6 or vals[-2] > TOLERANCES["rank_cutoff_rel"] * vals[-1]:
             return False
-        vecs = np.linalg.eigh(post.matrix)[1]
         coeffs = entanglement.schmidt_coefficients(vecs[:, -1], post.dims)
         return float(coeffs[1]) >= 1e-3
 
     product = np.kron(states.ket(0, 2), states.random_pure_from_rng((3,), rng))
     near_product = product + 5e-4 * states.random_pure_from_rng((2, 3), rng)
+    # an entangled post with lambda_2 / lambda_1 = 1e-8: purity 1 - 2e-8
+    psi = states.random_pure_from_rng((2, 3), rng)
+    phi = states.random_pure_from_rng((2, 3), rng)
+    phi = phi - np.vdot(psi, phi) * psi
+    phi = phi / np.linalg.norm(phi)
+    eps = 1e-8 / (1 + 1e-8)
+    m = (1 - eps) * np.outer(psi, np.conj(psi)) + eps * np.outer(phi,
+                                                                 np.conj(phi))
+    near_pure = states.QuantumState((m + np.conj(m.T)) / 2, (2, 3))
     posts = [
         states.pure_state(states.random_pure_from_rng((2, 3), rng), (2, 3)),
         states.pure_state(product, (2, 3)),
         states.pure_state(near_product / np.linalg.norm(near_product), (2, 3)),
         states.random_density_from_rng((2, 3), rng, rank=2),
+        near_pure,
     ]
     got = [search.outcome_success(0.5, post) for post in posts]
     assert got == [schmidt_route(0.5, post) for post in posts]
     assert got[0] and not got[1]
+    # a purity rule at 1 - 1e-6 would call the last post pure
+    assert states.purity(near_pure) >= 1.0 - 1e-6 and not got[-1]
 
 
 def test_optimize_rejects_bad_restarts():
