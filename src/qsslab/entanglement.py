@@ -145,13 +145,10 @@ def ppt_separable(rho: states.QuantumState) -> bool:
 
 
 def min_pt_eigenvalue(matrix, dims):
-    """Smallest eigenvalue of the partial transpose over the second factor
-    of dims = (d_A, d_B), for matrices of shape (..., n, n): a float for a
-    single matrix, an array for a stack. Each value of a stack is bitwise
-    the one a single call returns."""
+    """Smallest eigenvalue of the partial transpose of one matrix over the
+    second factor of dims = (d_A, d_B)."""
     pt = linalg.partial_transpose(matrix, dims, side="B")
-    low = np.min(np.linalg.eigvalsh(pt), axis=-1)
-    return float(low) if low.ndim == 0 else low
+    return float(np.linalg.eigvalsh(pt)[0])
 
 
 def separable(rho: states.QuantumState) -> bool:

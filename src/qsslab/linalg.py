@@ -3,7 +3,7 @@
 Everything works on plain complex128 numpy arrays. Operators and kets are
 immutable by convention: no function here mutates its inputs. The
 coordinate pattern search that the protocol search climbs with lives here
-too.
+too: one object holds every restart's climb as arrays.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from .errors import (
 )
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-def kron(a, b):
-    """Kronecker product of two operators (or kets)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def dagger(m):
@@ -214,71 +209,105 @@ def parameterized_unitary(theta, dim):
     return u
 
 
-# A climb's run holds up to LOOKAHEAD candidates (the two moves of two
-# coordinates), and a stacked call scores about STEP_ROWS rows in all: a
-# call's fixed cost dominates small stacks, while large stacks cost more
-# per row and an improvement discards the rest of its run. Only the
-# protocol search climbs; measured fastest per restart: 2-4 at 8
-# restarts, 2 at 16, 1 at 32 and 64.
+# A climb's run holds up to LOOKAHEAD candidates of its sweep (the two
+# moves of two coordinates), and a lockstep step of PatternSearch scores
+# about STEP_ROWS rows in one stacked call: a call's fixed cost dominates
+# small stacks, while large stacks cost more per row and an improvement
+# discards the rest of its run. Only the protocol search climbs; measured
+# fastest per restart: 2-4 at 8 restarts, 2 at 16, 1 at 32 and 64.
 LOOKAHEAD = 4
 STEP_ROWS = 32
 
 
 def run_length(climbs):
-    """The pattern_search lookahead for `climbs` climbs scored together:
+    """The PatternSearch lookahead for `climbs` climbs scored together:
     LOOKAHEAD for a single climb, fewer for many, never below 1."""
     return max(1, min(LOOKAHEAD, STEP_ROWS // climbs))
 
 
-def pattern_search(theta0, iters, target, lookahead=1):
-    """Coordinate pattern search that maximizes a score, starting at theta0.
+class PatternSearch:
+    """Coordinate pattern searches that maximize a score, one climb per
+    row of theta0 (R, n), held as arrays and stepped in lockstep.
 
-    A generator: it yields runs (a list of k candidates, score to beat)
-    and is sent the run's k scores; it returns (best score, best
-    parameters, evaluations). The first run is theta0 alone; each later
-    run is the next (at most) `lookahead` candidates the climb would try
-    if none of them improved. The climb reads a run's scores in order up
-    to and including its first improvement and discards the rest, which
-    are not evaluations, so its decisions, result and the candidates it
-    reads do not depend on `lookahead`.
+    best0 (R,) holds the scores of theta0, each climb's first evaluation.
+    run() returns (rows, candidates, scores to beat) for every live climb,
+    or None once all have stopped; `coords` then names the coordinate each
+    candidate moves. A climb's run is the next (at most) `lookahead`
+    candidates of its sweep that it would try if none of them improved.
+    read(scores) is given the run's scores and returns the mask of the
+    candidates taken. A climb reads its run's scores in order up to and
+    including its first improvement and discards the rest, which are not
+    evaluations, so its decisions, result and the candidates it reads do
+    not depend on `lookahead` or on the other rows. The results are the
+    attributes best, theta and evals.
 
     A sweep tries +step, then -step on each coordinate in turn; the first
     improving candidate is taken and the sweep goes on with the next
     coordinate. The step starts at 0.3 and halves after a sweep without
-    improvement. The climb stops after `iters` evaluations, when the step
-    falls to 1e-4 or below, or when the best score is at or above
-    `target` at the start (theta0 included) or the end of a sweep; a
-    target reached mid-sweep finishes that sweep first.
+    improvement. A climb stops after `iters` evaluations, when the step
+    falls to 1e-4 or below, or when its best score is at or above `target`
+    at the start (theta0 included) or the end of a sweep; a target reached
+    mid-sweep finishes that sweep first.
     """
-    theta = np.asarray(theta0, dtype=float)
-    sweep = 2 * len(theta)  # move m steps coordinate m // 2, up for even m
-    best = (yield [theta], -np.inf)[0]
-    evals = 1
-    # the next move, its step and whether its sweep has improved; the climb
-    # starts at the end of an improving sweep, so its first step is 0.3
-    step, move, improved = 0.3, sweep, True
-    while True:
-        cands, moves = [], []
-        room = min(lookahead, iters - evals)
-        while len(cands) < room:
-            if move == sweep:
-                if not improved:
-                    step *= 0.5
-                if step <= 1e-4 or best >= target:
-                    break
-                move, improved = 0, False
-                continue
-            cand = theta.copy()
-            cand[move // 2] += -step if move % 2 else step
-            cands.append(cand)
-            moves.append((step, move))
-            move += 1
-        if not cands:
-            return best, theta, evals
-        vals = yield cands, best
-        for cand, (s, m), val in zip(cands, moves, vals):
-            evals += 1
-            if val > best:
-                theta, best = cand, val
-                step, move, improved = s, m - m % 2 + 2, True
-                break
+
+    def __init__(self, theta0, best0, iters, target, lookahead=1):
+        self.theta = np.array(theta0, dtype=float)
+        self.best = np.array(best0, dtype=float)
+        self.evals = np.ones(len(self.best), dtype=int)
+        self.iters, self.target, self.lookahead = iters, target, lookahead
+        # each climb's next move (move m steps coordinate m // 2, up for
+        # even m), its step and whether its sweep has improved; a climb
+        # starts at the end of an improving sweep, so its first step is 0.3
+        self.sweep = 2 * self.theta.shape[1]
+        self.move = np.full(len(self.best), self.sweep)
+        self.step = np.full(len(self.best), 0.3)
+        self.improved = np.ones(len(self.best), dtype=bool)
+        self.stopped = np.zeros(len(self.best), dtype=bool)
+
+    def run(self):
+        # a run ends at its sweep's end, so a sweep ends only between runs
+        end = (self.move == self.sweep) & ~self.stopped
+        if end.any():
+            self.step[end & ~self.improved] *= 0.5
+            self.stopped |= end & ((self.step <= 1e-4)
+                                   | (self.best >= self.target))
+            start = end & ~self.stopped
+            self.move[start] = 0
+            self.improved[start] = False
+        size = np.minimum(np.minimum(self.lookahead, self.iters - self.evals),
+                          self.sweep - self.move)
+        self.stopped |= size <= 0
+        live = np.flatnonzero(~self.stopped)
+        if not live.size:
+            return None
+        size = size[live]
+        stop = size.cumsum()  # one past each run's last candidate
+        rows = live.repeat(size)
+        at = np.arange(len(rows))
+        moves = self.move[rows] + at - (stop - size).repeat(size)
+        self.coords = moves // 2
+        step = self.step[rows]
+        cands = self.theta[rows]
+        cands[at, self.coords] += np.where(moves % 2, -step, step)
+        self._run = live, size, rows, stop.repeat(size), cands
+        return rows, cands, self.best[rows]
+
+    def read(self, scores):
+        live, size, rows, stop, cands = self._run
+        scores = np.asarray(scores)
+        up = np.flatnonzero(scores > self.best[rows])
+        won = rows[up]
+        first = np.ones(len(up), dtype=bool)  # each row's first improvement
+        first[1:] = won[1:] != won[:-1]
+        up, won = up[first], won[first]
+        # the candidates after a row's first improvement are not evaluations
+        self.evals[live] += size
+        self.evals[won] -= stop[up] - up - 1
+        self.move[live] += size
+        self.move[won] = 2 * self.coords[up] + 2  # the next coordinate
+        self.theta[won] = cands[up]
+        self.best[won] = scores[up]
+        self.improved[won] = True
+        taken = np.zeros(len(rows), dtype=bool)
+        taken[up] = True
+        return taken

@@ -168,68 +168,36 @@ def _restart_bases(rho_s, rho_a, restarts, seed):
 def _search_chunk(rho_s, rho_a, bases, iters):
     """Pattern searches around base rounds [(u_alice, u_bob), ...], run in
     lockstep: each step scores the next run of candidates of every live
-    restart (see linalg.pattern_search) in one stacked call. Returns
+    restart (see linalg.PatternSearch) in one stacked call. Returns
     (score, u_alice, u_bob, evaluations) per restart, each bitwise
     independent of the other restarts in the chunk.
     """
     scorer = _RoundScorer(rho_s, rho_a)
     na = scorer.da**2
     n = na + scorer.db**2
-    sides = [  # (parameter columns, dimension, base unitaries)
-        (slice(0, na), scorer.da, np.array([b[0] for b in bases])),
-        (slice(na, n), scorer.db, np.array([b[1] for b in bases])),
-    ]
-    lookahead = linalg.run_length(len(bases))
-    searches = [
-        linalg.pattern_search(np.zeros(n), iters, 1.0, lookahead) for _ in bases
-    ]
-    runs = [next(s) for s in searches]
-    done = [None] * len(bases)
-    live = list(range(len(bases)))
-    # each restart's last candidate: its parameters (NaN before the first)
-    # and its two unitaries; a candidate's side equal to its restart's last
-    # one (the side a run does not move) is copied, not rebuilt
-    last = np.full((len(bases), n), np.nan)
-    last_units = [np.empty_like(base) for _, _, base in sides]
-    while live:
-        ids = np.array(live)
-        sizes = np.array([len(runs[r][0]) for r in live])
-        owner = ids.repeat(sizes)
-        cand = np.array([c for r in live for c in runs[r][0]])
-        moved = cand != last[owner]
-        units = []
-        for (cols, dim, base), known_u in zip(sides, last_units):
-            rebuild = moved[:, cols].any(axis=1)
-            u = known_u[owner]
-            if rebuild.any():
-                u[rebuild] = base[owner[rebuild]] @ linalg.parameterized_unitary(
-                    cand[rebuild, cols], dim
-                )
-            units.append(u)
-        above = np.array([runs[r][1] for r in live]).repeat(sizes)
-        vals = scorer.score(*units, above).tolist()
-        tail = sizes.cumsum() - 1
-        last[ids] = cand[tail]
-        for known_u, u in zip(last_units, units):
-            known_u[ids] = u[tail]
-        still, start = [], 0
-        for r, k in zip(live, sizes.tolist()):
-            try:
-                runs[r] = searches[r].send(vals[start:start + k])
-                still.append(r)
-            except StopIteration as stop:
-                done[r] = stop.value
-            start += k
-        live = still
-    thetas = np.array([theta for _, theta, _ in done])
-    u_a, u_b = (
-        base @ linalg.parameterized_unitary(thetas[:, cols], dim)
-        for cols, dim, base in sides
+    base_a, base_b = (np.array(u) for u in zip(*bases))
+    sides = [(slice(0, na), scorer.da, base_a),
+             (slice(na, n), scorer.db, base_b)]
+    held = [base_a.copy(), base_b.copy()]  # each restart's current unitaries
+    climb = linalg.PatternSearch(
+        np.zeros((len(bases), n)), scorer.score(*held), iters, 1.0,
+        linalg.run_length(len(bases)),
     )
-    return [
-        (best, ua, ub, evals)
-        for (best, _, evals), ua, ub in zip(done, u_a, u_b)
-    ]
+    # a candidate moves one coordinate: its side is rebuilt, and the other
+    # side is copied from its restart's current unitaries
+    while (run := climb.run()) is not None:
+        rows, cand, above = run
+        on_a = climb.coords < na
+        units = [h[rows] for h in held]
+        for (cols, dim, base), u, moved in zip(sides, units, (on_a, ~on_a)):
+            if moved.any():
+                u[moved] = base[rows[moved]] @ linalg.parameterized_unitary(
+                    cand[moved, cols], dim
+                )
+        taken = climb.read(scorer.score(*units, above))
+        for h, u in zip(held, units):
+            h[rows[taken]] = u[taken]
+    return list(zip(climb.best.tolist(), *held, climb.evals.tolist()))
 
 
 # A search forks a second process only when every chunk gets at least
@@ -267,10 +235,11 @@ def optimize_protocol(
     protocol rounds are always among the starting points. The restarts are
     split into contiguous chunks, one process each: at most `workers` of
     them, and a single one, run in the caller, unless every chunk gets at
-    least MIN_CHUNK restarts. A chunk runs its restarts in lockstep, each
-    step scoring a run of linalg.run_length(chunk size) candidates per
-    restart in one stacked call. Candidates scored past a run's first
-    improvement are discarded and are not evaluations.
+    least MIN_CHUNK restarts. A chunk runs its restarts as one
+    linalg.PatternSearch, each step scoring a run of up to
+    linalg.run_length(chunk size) candidates per restart in one stacked
+    call. Candidates scored past a run's first improvement are discarded
+    and are not evaluations.
     Fully deterministic for fixed (inputs, seed, restarts, iters), bitwise
     independent of worker count.
     """

@@ -14,6 +14,13 @@ def oracle_lambda_spectrum(m):
     return np.sort(np.sqrt(np.abs(np.real(ev))))[::-1]
 
 
+def test_y2_is_the_sigma_y_pair():
+    expected = np.zeros((4, 4))
+    expected[0, 3] = expected[3, 0] = -1
+    expected[1, 2] = expected[2, 1] = 1
+    assert np.array_equal(entanglement.Y2, expected)
+
+
 def test_concurrence_bell():
     assert abs(entanglement.concurrence(states.pure_state(states.PHI_PLUS)) - 1.0) <= 1e-12
 
@@ -200,23 +207,6 @@ def test_concurrence_matrix_stack_matches_single_calls(rng):
         assert single == entanglement.concurrence(states.QuantumState(m))
         assert np.array_equal(lam, entanglement.lambda_spectrum(m))
         assert single == max(0.0, lam[0] - lam[1:].sum())
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
-def test_min_pt_eigenvalue_stack_matches_single_calls(rng, dims):
-    n = dims[0] * dims[1]
-    ms = np.array([
-        states.random_density_from_rng(dims, rng, rank=1 + i % n).matrix
-        for i in range(12)
-    ]).reshape(3, 4, n, n)
-    stack = entanglement.min_pt_eigenvalue(ms, dims)
-    assert stack.shape == (3, 4)
-    flat = entanglement.min_pt_eigenvalue(ms.reshape(-1, n, n), dims)
-    assert flat.tobytes() == stack.ravel().tobytes()
-    for m, low in zip(ms.reshape(-1, n, n), stack.ravel()):
-        single = entanglement.min_pt_eigenvalue(m, dims)
-        assert isinstance(single, float)
-        assert single == low
 
 
 def _pure_product(seed):

@@ -15,43 +15,6 @@ from qsslab.errors import (
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
-def test_kron_identity():
-    assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sigma_y_pair():
-    yy = linalg.kron(linalg.SIGMA_Y, linalg.SIGMA_Y)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = -1
-    expected[1, 2] = 1
-    expected[2, 1] = 1
-    expected[3, 0] = -1
-    assert np.allclose(yy, expected)
-
-
-def test_kron_respects_vector_action(rng):
-    for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        x = rng.normal(size=2) + 1j * rng.normal(size=2)
-        y = rng.normal(size=2) + 1j * rng.normal(size=2)
-        lhs = linalg.kron(a, b) @ np.kron(x, y)
-        rhs = np.kron(a @ x, b @ y)
-        assert np.allclose(lhs, rhs)
-
-
-def test_kron_associativity(rng):
-    for _ in range(20):
-        mats = [
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            for _ in range(3)
-        ]
-        a, b, c = mats
-        lhs = linalg.kron(linalg.kron(a, b), c)
-        rhs = linalg.kron(a, linalg.kron(b, c))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
 def test_hermitian_eig_identity():
     vals, _ = linalg.hermitian_eig(np.eye(4))
     assert np.allclose(vals, np.ones(4))
@@ -353,30 +316,46 @@ def test_parameterized_unitary_stack_matches_single_calls(rng):
             assert single.tobytes() == np.ascontiguousarray(u).tobytes()
 
 
-def _drive(search, score):
-    """Run a pattern_search generator on a score function, scoring every
-    candidate of each run; returns the generator's result and every
-    (candidate, score to beat) the climb read: a run's candidates up to
-    and including its first improvement."""
-    read = []
-    runs, bar = next(search)
-    try:
-        while True:
-            vals = [score(c) for c in runs]
-            for c, v in zip(runs, vals):
-                read.append((c, bar))
+def _drive_rows(theta0, iters, target, scores, lookahead=1):
+    """Run a PatternSearch over the rows of theta0, row i on scores[i],
+    scoring every candidate of each run. Returns each row's (best, theta,
+    evals) and every (candidate, score to beat) it read: theta0, then a
+    run's candidates up to and including its first improvement, which
+    must be the candidate the climb takes."""
+    theta0 = np.asarray(theta0, dtype=float)
+    climb = linalg.PatternSearch(
+        theta0, [f(t) for f, t in zip(scores, theta0)], iters, target,
+        lookahead)
+    reads = [[(t, -np.inf)] for t in theta0]
+    while (run := climb.run()) is not None:
+        rows, cands, above = run
+        vals = [scores[r](c) for r, c in zip(rows, cands)]
+        want = np.zeros(len(rows), dtype=bool)
+        done = set()
+        for i, (r, c, bar, v) in enumerate(zip(rows, cands, above, vals)):
+            # each candidate moves the one coordinate `coords` names
+            assert list(np.flatnonzero(c != climb.theta[r])) == [
+                climb.coords[i]]
+            if r not in done:
+                reads[r].append((c, bar))
                 if v > bar:
-                    break
-            runs, bar = search.send(vals)
-    except StopIteration as stop:
-        return stop.value, read
+                    want[i] = True
+                    done.add(r)
+        assert np.array_equal(climb.read(np.array(vals)), want)
+    results = list(zip(climb.best, climb.theta, climb.evals))
+    return results, reads
+
+
+def _drive(theta0, iters, target, score, lookahead=1):
+    """One climb of _drive_rows: its (best, theta, evals) and its reads."""
+    results, reads = _drive_rows([theta0], iters, target, [score], lookahead)
+    return results[0], reads[0]
 
 
 def test_pattern_search_start_meeting_target_takes_one_evaluation():
     theta0 = np.array([0.5, -1.0, 2.0])
-    (best, theta, evals), yielded = _drive(
-        linalg.pattern_search(theta0, 100, 1.0), lambda t: 1.0)
-    assert (best, evals, len(yielded)) == (1.0, 1, 1)
+    (best, theta, evals), read = _drive(theta0, 100, 1.0, lambda t: 1.0)
+    assert (best, evals, len(read)) == (1.0, 1, 1)
     assert np.array_equal(theta, theta0)
 
 
@@ -389,9 +368,9 @@ def test_pattern_search_never_exceeds_iters():
 
     for iters in (1, 2, 3, 7, 50, 400):
         for score in (unbounded, peaked):
-            (best, theta, evals), yielded = _drive(
-                linalg.pattern_search(np.zeros(3), iters, np.inf), score)
-            assert evals == len(yielded) <= iters
+            (best, theta, evals), read = _drive(
+                np.zeros(3), iters, np.inf, score)
+            assert evals == len(read) <= iters
             assert best == score(theta)
             if score is unbounded:
                 assert evals == iters
@@ -400,16 +379,15 @@ def test_pattern_search_never_exceeds_iters():
 def test_pattern_search_takes_first_improving_candidate():
     # every +step move improves sum(theta): each is taken at once, and the
     # score to beat is the score of the last candidate taken
-    (best, theta, evals), yielded = _drive(
-        linalg.pattern_search(np.zeros(2), 5, np.inf), lambda t: float(t.sum()))
-    cands = [list(c) for c, _ in yielded]
+    (best, theta, evals), read = _drive(
+        np.zeros(2), 5, np.inf, lambda t: float(t.sum()))
+    cands = [list(c) for c, _ in read]
     assert cands == [[0.0, 0.0], [0.3, 0.0], [0.3, 0.3], [0.6, 0.3], [0.6, 0.6]]
-    assert [b for _, b in yielded] == [-np.inf, 0.0, 0.3, 0.6, 0.6 + 0.3]
+    assert [b for _, b in read] == [-np.inf, 0.0, 0.3, 0.6, 0.6 + 0.3]
     assert evals == 5 and np.array_equal(theta, [0.6, 0.6])
     # a failed +step move is followed by the -step move of that coordinate
-    _, yielded = _drive(
-        linalg.pattern_search(np.zeros(2), 5, np.inf), lambda t: -float(t.sum()))
-    cands = [list(c) for c, _ in yielded]
+    _, read = _drive(np.zeros(2), 5, np.inf, lambda t: -float(t.sum()))
+    cands = [list(c) for c, _ in read]
     assert cands == [[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [-0.3, 0.3],
                      [-0.3, -0.3]]
 
@@ -419,8 +397,8 @@ def test_pattern_search_target_is_checked_between_sweeps():
     # finishes the sweep (two moves on each later coordinate) and stops
     for lookahead in (1, 4):
         (best, theta, evals), read = _drive(
-            linalg.pattern_search(np.zeros(3), 100, 1.0, lookahead),
-            lambda t: 1.0 if t[0] > 0 else 0.0)
+            np.zeros(3), 100, 1.0, lambda t: 1.0 if t[0] > 0 else 0.0,
+            lookahead)
         assert (best, evals, len(read)) == (1.0, 6, 6)
         assert np.array_equal(theta, [0.3, 0.0, 0.0])
 
@@ -458,15 +436,81 @@ def test_pattern_search_lookahead_reads_the_same_climb(n, iters, target, seed,
     else:
         score = _slope_score(rng.normal(size=n), rng.choice([0.05, 0.3, 1.0]))
     theta0 = rng.uniform(-1.0, 1.0, n)
-    one, read_one = _drive(linalg.pattern_search(theta0, iters, target), score)
-    four, read_four = _drive(
-        linalg.pattern_search(theta0, iters, target, 4), score)
+    one, read_one = _drive(theta0, iters, target, score)
+    four, read_four = _drive(theta0, iters, target, score, 4)
     assert one[0] == four[0] and one[2] == four[2]
     assert one[1].tobytes() == four[1].tobytes()
     assert len(read_one) == len(read_four) == one[2] <= iters
     for (c1, bar1), (c4, bar4) in zip(read_one, read_four):
         assert c1.tobytes() == c4.tobytes() and bar1 == bar4
     assert one[0] == score(one[1])
+
+
+def _budget_score(weights):
+    """Linear and below 1: every sweep improves, so only the budget stops
+    it at target 1.0 (weights nonzero, fewer than 1000 steps of 0.3)."""
+    def score(t):
+        return float(weights @ t) * 1e-4
+    return score
+
+
+def _peak_score(centre):
+    """At most 0 and peaked: the step floor stops it at target 1.0."""
+    def score(t):
+        return -float(np.sum((t - centre) ** 2))
+    return score
+
+
+def _target_score(coord, edge):
+    """1.0 once coordinate `coord` passes `edge`: the target stops it."""
+    def score(t):
+        return 1.0 if t[coord] > edge else 0.0
+    return score
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    iters=st.integers(250, 400),
+    lookahead=st.integers(1, 6),
+    extra=st.lists(st.sampled_from(["levels", "slope"]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pattern_search_rows_climb_as_single_climbs(n, iters, lookahead,
+                                                     extra, seed):
+    # rows that stop at different steps, for each of the three reasons,
+    # next to rows with plateaus and ties, in a shuffled order
+    rng = np.random.default_rng(seed)
+    theta0 = rng.uniform(-1.0, 1.0, (3 + len(extra), n))
+    coord = int(rng.integers(n))
+    scores = [
+        _budget_score(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)),
+        _peak_score(theta0[1] + rng.uniform(-0.5, 0.5, n)),
+        _target_score(coord, theta0[2, coord] + 0.2),
+    ]
+    for kind in extra:
+        if kind == "levels":
+            scores.append(_level_score(rng.choice([0.0, 0.25, 0.5, 1.0], 3),
+                                       seed))
+        else:
+            scores.append(_slope_score(rng.normal(size=n),
+                                       rng.choice([0.05, 0.3, 1.0])))
+    order = rng.permutation(len(scores))
+    theta0, scores = theta0[order], [scores[i] for i in order]
+    rows, reads = _drive_rows(theta0, iters, 1.0, scores, lookahead)
+    for i, (row, read) in enumerate(zip(rows, reads)):
+        single, single_read = _drive(theta0[i], iters, 1.0, scores[i])
+        assert row[0] == single[0] and row[2] == single[2]
+        assert row[1].tobytes() == single[1].tobytes()
+        assert len(read) == len(single_read) == row[2]
+        for (c, bar), (c1, bar1) in zip(read, single_read):
+            assert c.tobytes() == c1.tobytes() and bar == bar1
+    best, _, evals = zip(*rows)
+    budget, floor, target = (int(np.flatnonzero(order == k)[0])
+                             for k in range(3))
+    # the floor row stops early below the target: on the step floor
+    assert evals[budget] == iters > max(evals[floor], evals[target])
+    assert best[floor] < 1.0 and best[target] == 1.0
 
 
 def test_run_length_gives_a_single_climb_four_candidates():
