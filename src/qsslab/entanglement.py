@@ -34,16 +34,13 @@ LAMBDA_FLOOR = 1e-12
 def lambda_spectrum(rho):
     """Descending square roots of the eigenvalues of rho * rho~.
 
-    rho is a two-qubit QuantumState or a stack of 4x4 density matrices of
-    shape (..., 4, 4), which gives one spectrum per matrix. For rho =
-    X X^dagger with X = V sqrt(Lambda) from its eigendecomposition, they are
-    the singular values of tau = X^T (sigma_y (x) sigma_y) X, the overlap
-    matrix magic_decomposition factorizes: rho rho~ and tau tau^dagger share
-    their nonzero eigenvalues, so one SVD gives the lambdas unsquared.
+    rho is a 4x4 density matrix or a stack of them of shape (..., 4, 4),
+    which gives one spectrum per matrix. For rho = X X^dagger with
+    X = V sqrt(Lambda) from its eigendecomposition, they are the singular
+    values of tau = X^T (sigma_y (x) sigma_y) X, the overlap matrix
+    magic_decomposition factorizes: rho rho~ and tau tau^dagger share their
+    nonzero eigenvalues, so one SVD gives the lambdas unsquared.
     """
-    if isinstance(rho, states.QuantumState):
-        _check_two_qubit(rho)
-        rho = rho.matrix
     vals, vecs = np.linalg.eigh(rho)
     # eigenvalues below the rank cutoff are eigensolver noise; their square
     # roots would leak into the spectrum of a rank-deficient rho
@@ -147,7 +144,7 @@ def ppt_separable(rho: states.QuantumState) -> bool:
 def min_pt_eigenvalue(matrix, dims):
     """Smallest eigenvalue of the partial transpose of one matrix over the
     second factor of dims = (d_A, d_B)."""
-    pt = linalg.partial_transpose(matrix, dims, side="B")
+    pt = linalg.partial_transpose(matrix, dims)
     return float(np.linalg.eigvalsh(pt)[0])
 
 

@@ -9,10 +9,6 @@ class DimensionMismatch(QsslabError):
     pass
 
 
-class NotHermitian(QsslabError):
-    pass
-
-
 class NotSymmetric(QsslabError):
     pass
 

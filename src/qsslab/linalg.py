@@ -1,9 +1,12 @@
 """Dense complex linear algebra for small Hilbert spaces (dim <= ~64).
 
 Everything works on plain complex128 numpy arrays. Operators and kets are
-immutable by convention: no function here mutates its inputs. The
-coordinate pattern search that the protocol search climbs with lives here
-too: one object holds every restart's climb as arrays.
+immutable by convention: no function here mutates its inputs. A density
+matrix's eigendecomposition and numerical rank are not here: a
+states.QuantumState computes them from the one decomposition its
+validation runs. The coordinate pattern search that the protocol search
+climbs with lives here too: one object holds every restart's climb as
+arrays.
 """
 
 from __future__ import annotations
@@ -13,12 +16,7 @@ import functools
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import (
-    BadParameterCount,
-    DimensionMismatch,
-    NotHermitian,
-    NotSymmetric,
-)
+from .errors import BadParameterCount, DimensionMismatch, NotSymmetric
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -31,31 +29,6 @@ def dagger(m):
 def is_unitary(u, tol=TOLERANCES["unitary"]):
     u = np.asarray(u)
     return np.max(np.abs(u @ dagger(u) - np.eye(u.shape[0]))) <= tol
-
-
-def hermitian_eig(h):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues real and sorted
-    descending; eigenvectors[:, i] belongs to eigenvalues[i].
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got shape {h.shape}")
-    if np.max(np.abs(h - dagger(h))) > TOLERANCES["hermitian"]:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
-def numerical_rank(eigenvalues, rel_cutoff=TOLERANCES["rank_cutoff_rel"]):
-    """Count eigenvalues above the relative rank cutoff."""
-    vals = np.asarray(eigenvalues, dtype=float)
-    top = np.max(np.abs(vals)) if vals.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(vals > rel_cutoff * top))
 
 
 def takagi(s):
@@ -127,9 +100,10 @@ def partial_trace(m, dims, keep):
     return t.reshape(d_keep, d_keep)
 
 
-def partial_transpose(m, dims, side="B"):
-    """Partial transpose of a bipartite operator on dims = (d_A, d_B), or
-    of each operator of a stack of shape (..., d_A d_B, d_A d_B)."""
+def partial_transpose(m, dims):
+    """Partial transpose over B of a bipartite operator on dims =
+    (d_A, d_B), or of each operator of a stack of shape
+    (..., d_A d_B, d_A d_B)."""
     m = np.asarray(m, dtype=complex)
     da, db = dims
     if m.shape[-2:] != (da * db, da * db):
@@ -137,13 +111,7 @@ def partial_transpose(m, dims, side="B"):
             f"matrix shape {m.shape} does not match dims {dims}"
         )
     t = m.reshape(m.shape[:-2] + (da, db, da, db))
-    if side == "A":
-        t = t.swapaxes(-4, -2)
-    elif side == "B":
-        t = t.swapaxes(-3, -1)
-    else:
-        raise DimensionMismatch(f"side must be 'A' or 'B', got {side!r}")
-    return t.reshape(m.shape)
+    return t.swapaxes(-3, -1).reshape(m.shape)
 
 
 def haar_unitary_from_rng(dim, rng):

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import entanglement, linalg, states
 from .config import TOLERANCES
-from .errors import BadParameters, DimensionMismatch, QsslabError
+from .errors import (BadParameters, BadWeights, DimensionMismatch,
+                     InvalidState, QsslabError)
 
 QSS = "QSS"
 NOT_QSS_CANDIDATE = "NOT_QSS_CANDIDATE"
@@ -54,17 +55,23 @@ class QssVerdict:
 
 
 def verify_certificate(rho: states.QuantumState, ensemble, weights) -> bool:
-    """Independent check: the ensemble decomposes rho and its reweighting
-    passes entanglement.separable (PPT, plus the concurrence for two
-    qubits; PPT alone is a necessary condition only beyond
-    d_A * d_B = 6). A uniform reweighting that lands exactly on I/d is
-    accepted at any dimension (explicit product decomposition of the
-    identity).
+    """Independent check: the ensemble has rho's dims and decomposes rho,
+    and its reweighting passes entanglement.separable (PPT, plus the
+    concurrence for two qubits; PPT alone is a necessary condition only
+    beyond d_A * d_B = 6). A uniform reweighting that lands exactly on I/d
+    is accepted at any dimension (explicit product decomposition of the
+    identity). A certificate on another bipartition, or weights that are
+    no reweighting of the ensemble, fail: False, never an exception.
     """
+    if ensemble.dims != rho.dims:
+        return False
     recon = states.from_ensemble(ensemble)
     if np.max(np.abs(recon.matrix - rho.matrix)) > TOLERANCES["reconstruction"]:
         return False
-    new_state = states.reweight(ensemble, weights)
+    try:
+        new_state = states.reweight(ensemble, weights)
+    except (BadWeights, InvalidState):
+        return False
     d = new_state.dim
     if np.max(np.abs(new_state.matrix - np.eye(d) / d)) <= 1e-10:
         return True
@@ -179,11 +186,10 @@ def range_product_vectors(rho: states.QuantumState):
     if len(dims) != 2 or 2 not in dims:
         return None
     n = rho.dim // 2
-    vals, vecs = rho.eigensystem()
-    rank = linalg.numerical_rank(vals)
+    rank = rho.rank()
     if not n <= rank < 2 * n:
         return None
-    complement = vecs[:, rank:]
+    complement = rho.eigensystem()[1][:, rank:]
     # Q as (rows, qubit, n)
     q = np.conj(complement.T).reshape((-1,) + dims)
     if dims[0] != 2:
@@ -248,7 +254,7 @@ def _check_budget(budget):
         raise BadParameters(f"budget must be >= 1, got {budget}")
 
 
-def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
+def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
     """General-dimension fallback: the reweighting of rho whose partial
     transpose has the largest smallest eigenvalue.
 
@@ -259,8 +265,8 @@ def heuristic_search(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdi
     first Phi(H) >= 0, when the barrier gap (d + l) mu falls below
     |ppt_min_eig|, or after `budget` steps. Evidence: best_pt_eigenvalue,
     that of the last H; pt_eigenvalue_bound, an upper bound over every
-    reweighting (weak duality); evaluations, the steps plus one. No result
-    depends on `seed`. A budget below 1 raises BadParameters.
+    reweighting (weak duality); evaluations, the steps plus one. A budget
+    below 1 raises BadParameters.
     """
     _check_budget(budget)
     if len(rho.dims) < 2:
@@ -366,7 +372,9 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     search, the only route the budget bounds: it caps its Newton steps. An
     entangled pure state beyond two qubits is a NOT_QSS_CANDIDATE, as a
     two-qubit one is: its only decomposition is itself. A budget below 1
-    raises BadParameters on every route. No verdict depends on `seed`.
+    raises BadParameters on every route. Every route is deterministic, so
+    no verdict depends on `seed`; it stays in the signature for the callers
+    that pass one (the CLI, impossibility_probe, the benchmark).
     """
     _check_budget(budget)
     verdict = full_rank_certificate(rho)
@@ -379,7 +387,7 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     verdict = range_certificate(rho)
     if verdict is not None:
         return verdict
-    verdict = heuristic_search(rho, budget=budget, seed=seed)
+    verdict = heuristic_search(rho, budget=budget)
     if verdict.evidence.get("route") == "rank-1":
         return QssVerdict(NOT_QSS_CANDIDATE, evidence=verdict.evidence)
     return verdict

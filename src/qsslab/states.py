@@ -1,10 +1,12 @@
 """Density matrices, pure-state ensembles, and reweighting machinery.
 
 A QuantumState is a validated density matrix with an explicit tensor
-factorization. An Ensemble is a weighted list of normalized pure states
-realizing a density matrix; reweighting an ensemble (keeping its pure
-states, changing the probabilities) is the basic move the rest of the
-package builds on.
+factorization. Construction decomposes the matrix once: the positivity
+check reads its eigenvalues, and the state keeps the spectrum for every
+later use (its rank, its spectral ensemble, its range). An Ensemble is a
+weighted list of normalized pure states realizing a density matrix;
+reweighting an ensemble (keeping its pure states, changing the
+probabilities) is the basic move the rest of the package builds on.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .config import TOLERANCES
 from .errors import BadWeights, DimensionMismatch, InvalidState, NotIsometry
 
@@ -27,7 +28,11 @@ def _positive_dims(dims):
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Density matrix plus its subsystem dimensions."""
+    """Density matrix plus its subsystem dimensions.
+
+    Construction runs one eigendecomposition: positivity is checked on its
+    eigenvalues, and eigensystem() returns it, read-only.
+    """
 
     matrix: np.ndarray
     dims: tuple = (2, 2)
@@ -47,20 +52,27 @@ class QuantumState:
             raise InvalidState("hermitian: matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TOLERANCES["trace_one"]:
             raise InvalidState(f"trace: tr = {np.trace(m).real!r}, expected 1")
-        min_eig = float(np.min(np.linalg.eigvalsh(m)))
-        if min_eig < TOLERANCES["positivity"]:
-            raise InvalidState(f"positive: minimum eigenvalue {min_eig}")
+        vals, vecs = np.linalg.eigh(m)
+        if vals[0] < TOLERANCES["positivity"]:
+            raise InvalidState(f"positive: minimum eigenvalue {float(vals[0])}")
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        vals.flags.writeable = vecs.flags.writeable = False
+        object.__setattr__(self, "_eig", (vals, vecs))
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
     def eigensystem(self):
-        return linalg.hermitian_eig(self.matrix)
+        """(eigenvalues, eigenvectors), eigenvalues descending;
+        eigenvectors[:, i] belongs to eigenvalues[i]."""
+        return self._eig
 
     def rank(self):
-        vals, _ = self.eigensystem()
-        return linalg.numerical_rank(vals)
+        """Count of eigenvalues above rank_cutoff_rel times the largest."""
+        vals = self._eig[0]
+        return int(np.sum(vals > TOLERANCES["rank_cutoff_rel"] * vals[0]))
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,7 @@ def spectral_ensemble(rho: QuantumState) -> Ensemble:
     Eigenvalues below the rank cutoff are dropped.
     """
     vals, vecs = rho.eigensystem()
-    members = [(float(vals[i]), vecs[:, i])
-               for i in range(linalg.numerical_rank(vals))]
+    members = [(float(vals[i]), vecs[:, i]) for i in range(rho.rank())]
     total = sum(w for w, _ in members)
     members = [(w / total, v) for w, v in members]
     return Ensemble(tuple(members), rho.dims)

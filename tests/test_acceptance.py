@@ -75,7 +75,7 @@ def test_criterion_3_wootters_machinery():
         worst_off = max(worst_off, float(np.max(np.abs(off))))
         recon = sum(np.outer(zi, np.conj(zi)) for zi in z)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - rho.matrix))))
-        lam = entanglement.lambda_spectrum(rho)[: len(md.lambda_primes)]
+        lam = entanglement.lambda_spectrum(rho.matrix)[: len(md.lambda_primes)]
         worst_spec = max(worst_spec, float(np.max(np.abs(lam - md.lambda_primes))))
     werner_err = max(
         abs(entanglement.concurrence(states.werner(p)) - max(0.0, (3 * p - 1) / 2))
@@ -298,11 +298,13 @@ def test_criterion_7_kernel_suite():
         )
 
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = g + np.conj(g.T)
-        vals, vecs = linalg.hermitian_eig(h)
+        h = g @ np.conj(g.T)
+        rho_g = states.QuantumState(h / np.trace(h).real, (dim,))
+        vals, vecs = rho_g.eigensystem()
         worst_eig = max(
             worst_eig,
-            float(np.max(np.abs((vecs * vals) @ np.conj(vecs.T) - h))),
+            float(np.max(np.abs((vecs * vals) @ np.conj(vecs.T)
+                                - rho_g.matrix))),
         )
 
         s = g + g.T
@@ -314,7 +316,7 @@ def test_criterion_7_kernel_suite():
 
         rho = states.random_density_from_rng((2, 2), rng)
         pt2 = linalg.partial_transpose(
-            linalg.partial_transpose(rho.matrix, (2, 2), "B"), (2, 2), "B"
+            linalg.partial_transpose(rho.matrix, (2, 2)), (2, 2)
         )
         worst_pt = max(worst_pt, float(np.max(np.abs(pt2 - rho.matrix))))
         tr_keep = linalg.partial_trace(rho.matrix, [2, 2], [0])

@@ -140,7 +140,7 @@ def test_ppt_separable_examples():
 def test_ppt_werner_boundary(p):
     rho = states.werner(p)
     assert entanglement.ppt_separable(rho) == (p <= 1 / 3 + 1e-12)
-    pt = linalg.partial_transpose(rho.matrix, (2, 2), "B")
+    pt = linalg.partial_transpose(rho.matrix, (2, 2))
     assert abs(np.min(np.linalg.eigvalsh(pt)) - (1 - 3 * p) / 4) <= 1e-12
 
 

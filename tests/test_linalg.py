@@ -5,50 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsslab import linalg, states
-from qsslab.errors import (
-    BadParameterCount,
-    DimensionMismatch,
-    NotHermitian,
-    NotSymmetric,
-)
-
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def test_hermitian_eig_identity():
-    vals, _ = linalg.hermitian_eig(np.eye(4))
-    assert np.allclose(vals, np.ones(4))
-
-
-def test_hermitian_eig_sigma_z():
-    vals, vecs = linalg.hermitian_eig(SIGMA_Z)
-    assert np.allclose(vals, [1.0, -1.0])
-    assert np.allclose(np.abs(vecs[:, 0]), [1.0, 0.0])
-    assert np.allclose(np.abs(vecs[:, 1]), [0.0, 1.0])
-
-
-def test_hermitian_eig_werner():
-    vals, _ = linalg.hermitian_eig(states.werner(0.5).matrix)
-    assert np.allclose(vals, [0.625, 0.125, 0.125, 0.125])
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotHermitian):
-        linalg.hermitian_eig(m)
-
-
-def test_hermitian_eig_reconstruction(rng):
-    for _ in range(20):
-        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        h = g + np.conj(g.T)
-        vals, vecs = linalg.hermitian_eig(h)
-        assert abs(vals.sum() - np.trace(h).real) <= 1e-9
-        recon = (vecs * vals) @ np.conj(vecs.T)
-        assert np.max(np.abs(recon - h)) <= 1e-8
-        gram = np.conj(vecs.T) @ vecs
-        assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
-        assert np.all(np.diff(vals) <= 1e-12)
+from qsslab.errors import BadParameterCount, DimensionMismatch, NotSymmetric
 
 
 def test_takagi_identity():
@@ -208,40 +165,34 @@ def test_partial_transpose_product_case(rng):
     rho = states.random_density_from_rng((2,), rng).matrix
     sigma = states.random_density_from_rng((2,), rng).matrix
     m = np.kron(rho, sigma)
-    pt = linalg.partial_transpose(m, (2, 2), side="A")
-    assert np.allclose(pt, np.kron(rho.T, sigma))
+    pt = linalg.partial_transpose(m, (2, 2))
+    assert np.allclose(pt, np.kron(rho, sigma.T))
     assert np.min(np.linalg.eigvalsh(pt)) >= -1e-12
 
 
 def test_partial_transpose_bell_min_eig():
     m = np.outer(states.PHI_PLUS, np.conj(states.PHI_PLUS))
-    pt = linalg.partial_transpose(m, (2, 2), side="B")
+    pt = linalg.partial_transpose(m, (2, 2))
     assert abs(np.min(np.linalg.eigvalsh(pt)) + 0.5) <= 1e-12
 
 
 def test_partial_transpose_involution(rng):
     m = states.random_density_from_rng((2, 3), rng).matrix
-    pt2 = linalg.partial_transpose(
-        linalg.partial_transpose(m, (2, 3), "B"), (2, 3), "B"
-    )
+    pt2 = linalg.partial_transpose(linalg.partial_transpose(m, (2, 3)), (2, 3))
     assert np.array_equal(pt2, m)
-    assert abs(np.trace(linalg.partial_transpose(m, (2, 3), "A")) - 1) <= 1e-12
+    assert abs(np.trace(linalg.partial_transpose(m, (2, 3))) - 1) <= 1e-12
 
 
-@pytest.mark.parametrize("side", ["A", "B"])
-def test_partial_transpose_stack_matches_single_calls(rng, side):
+def test_partial_transpose_stack_matches_single_calls(rng):
     ms = np.array([
         states.random_density_from_rng((2, 3), rng).matrix for _ in range(6)
     ]).reshape(2, 3, 6, 6)
-    stack = linalg.partial_transpose(ms, (2, 3), side)
+    stack = linalg.partial_transpose(ms, (2, 3))
     assert stack.shape == ms.shape
     for m, pt in zip(ms.reshape(-1, 6, 6), stack.reshape(-1, 6, 6)):
-        assert np.array_equal(pt, linalg.partial_transpose(m, (2, 3), side))
-    # the partial transposes on A and on B differ by a full transpose
-    other = linalg.partial_transpose(ms, (2, 3), "B" if side == "A" else "A")
-    assert np.array_equal(stack, np.swapaxes(other, -1, -2))
+        assert np.array_equal(pt, linalg.partial_transpose(m, (2, 3)))
     with pytest.raises(DimensionMismatch):
-        linalg.partial_transpose(ms, (3, 3), side)
+        linalg.partial_transpose(ms, (3, 3))
 
 
 def haar_unitary(dim, seed):

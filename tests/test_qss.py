@@ -70,7 +70,7 @@ def test_reweight_certificate_requires_two_qubits():
 
 def test_heuristic_search_full_rank_trivial(rng):
     rho = states.random_density_from_rng((2, 2), rng)
-    verdict = qss.heuristic_search(rho, budget=10, seed=0)
+    verdict = qss.heuristic_search(rho, budget=10)
     assert verdict.status == qss.QSS
 
 
@@ -81,15 +81,15 @@ def test_heuristic_search_rank_one_unknown():
 
 
 def test_heuristic_search_eq10_unknown():
-    verdict = qss.heuristic_search(eq10_source(), budget=10**4, seed=0)
+    verdict = qss.heuristic_search(eq10_source(), budget=10**4)
     assert verdict.status == qss.UNKNOWN
     assert "best_pt_eigenvalue" in verdict.evidence
 
 
 def test_heuristic_search_deterministic():
     rho = states.random_density(( 2, 3), rank=4, seed=5)
-    v1 = qss.heuristic_search(rho, budget=500, seed=11)
-    v2 = qss.heuristic_search(rho, budget=500, seed=11)
+    v1 = qss.heuristic_search(rho, budget=500)
+    v2 = qss.heuristic_search(rho, budget=500)
     assert v1.status == v2.status
     assert v1.evidence.get("best_pt_eigenvalue") == v2.evidence.get(
         "best_pt_eigenvalue"
@@ -101,7 +101,7 @@ def test_heuristic_search_rank_deficient_2x3():
     # reweighting of each
     for seed in range(3):
         rho = states.random_density((2, 3), rank=5, seed=seed)
-        verdict = qss.heuristic_search(rho, budget=4000, seed=seed)
+        verdict = qss.heuristic_search(rho, budget=4000)
         assert verdict.status == qss.QSS
         ens, w = verdict.certificate
         assert qss.verify_certificate(rho, ens, w)
@@ -159,14 +159,14 @@ def _check_heuristic_verdict(rho, verdict, rank, seed):
 @pytest.mark.parametrize("rank, seed", sorted(HEURISTIC_GOLDEN))
 def test_heuristic_search_matches_golden(rank, seed):
     rho = states.random_density((2, 3), rank=rank, seed=seed)
-    verdict = qss.heuristic_search(rho, budget=1000, seed=seed)
+    verdict = qss.heuristic_search(rho, budget=1000)
     _check_heuristic_verdict(rho, verdict, rank, seed)
 
 
 def test_heuristic_search_stops_at_a_ppt_start():
     # the uniform reweighting of a rank-5 2x3 eigenbasis is already PPT
     rho = states.random_density((2, 3), rank=5, seed=0)
-    verdict = qss.heuristic_search(rho, budget=1000, seed=0)
+    verdict = qss.heuristic_search(rho, budget=1000)
     assert verdict.status == qss.QSS
     assert verdict.evidence["evaluations"] == 1
     ens, w = verdict.certificate
@@ -375,7 +375,7 @@ def test_reweighting_rescales_lambda_spectrum(seed, rank):
     wq /= wq.sum()
     want = np.zeros(4)
     want[:rank] = np.sort(wq / ens.weights * md.lambda_primes)[::-1]
-    got = entanglement.lambda_spectrum(states.reweight(ens, wq))
+    got = entanglement.lambda_spectrum(states.reweight(ens, wq).matrix)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -396,7 +396,7 @@ def test_entangled_rank_deficient_states_get_a_certificate(seed, rank, log_p):
     assert qss.verify_certificate(rho, ens, w)
     if len(lam) == 3 and lam[1:].min() > 1e-6:
         # the midpoint lies strictly inside the separable interval
-        new = entanglement.lambda_spectrum(states.reweight(ens, w))
+        new = entanglement.lambda_spectrum(states.reweight(ens, w).matrix)
         assert 2 * new[0] - new.sum() < 0.0
 
 
@@ -465,6 +465,28 @@ def test_certificate_soundness_on_random_states(rng):
             assert qss.verify_certificate(rho, ens, w)
             new_state = states.reweight(ens, w)
             assert entanglement.ppt_separable(new_state)
+
+
+def test_verify_certificate_rejects_a_mismatched_certificate():
+    # a (x) b, a in C^3 and b in C^2, is a product across (3, 2) but
+    # entangled across (2, 3)
+    rng = np.random.default_rng(0)
+    a = states.random_pure_from_rng((3,), rng)
+    b = states.random_pure_from_rng((2,), rng)
+    v = np.kron(a, b)
+    rho = states.pure_state(v, (2, 3))
+    assert qss.classify(rho).status == qss.NOT_QSS_CANDIDATE
+    ens = states.spectral_ensemble(rho)
+    # the right decomposition on another cut, or of another state
+    assert not qss.verify_certificate(
+        rho, states.Ensemble(((1.0, v),), (3, 2)), [1.0])
+    assert not qss.verify_certificate(
+        rho, states.Ensemble(((1.0, states.PHI_PLUS),), (2, 2)), [1.0])
+    # weights that are no reweighting: the wrong count, or a zero
+    assert not qss.verify_certificate(rho, ens, [0.5, 0.5])
+    mixed = states.random_density((2, 3), rank=2, seed=0)
+    assert not qss.verify_certificate(
+        mixed, states.spectral_ensemble(mixed), [1.0, 0.0])
 
 
 def test_certificate_transported_through_local_filter(rng):
@@ -566,7 +588,7 @@ def test_near_product_rank_two_states_classify_soundly(seed, log_eps, log_w):
         # at rank 1 the rank cutoff has dropped F's lighter column
         want = np.zeros(4)
         want[:2] = np.linalg.svd(f.T @ entanglement.Y2 @ f, compute_uv=False)
-        got = entanglement.lambda_spectrum(rho)
+        got = entanglement.lambda_spectrum(rho.matrix)
         assert np.max(np.abs(got - want)) <= 1e-11
     verdict = qss.classify(rho)  # must not raise
     if verdict.status == qss.QSS:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsslab import entanglement, linalg, states
+from qsslab import entanglement, linalg, qss, states
 from qsslab.errors import BadWeights, DimensionMismatch, InvalidState, NotIsometry
 from conftest import bell_projector
 
@@ -160,6 +160,50 @@ def test_fidelity_pure_examples():
 def test_fidelity_pure_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         states.fidelity_pure(states.werner(0.5), states.ket(0, 2))
+
+
+@pytest.mark.parametrize("rho, want, basis", [
+    (states.QuantumState(np.eye(4) / 4), [0.25] * 4, None),
+    (states.werner(0.5), [0.625, 0.125, 0.125, 0.125], None),
+    (states.QuantumState(np.diag([0.125, 0.5, 0.375]), (3,)),
+     [0.5, 0.375, 0.125], [1, 2, 0]),
+], ids=["maximally-mixed", "werner", "diagonal"])
+def test_eigensystem_descending(rho, want, basis):
+    vals, vecs = rho.eigensystem()
+    assert np.allclose(vals, want)
+    if basis is not None:
+        assert np.allclose(np.abs(vecs), np.eye(len(want))[:, basis])
+
+
+def test_eigensystem_reconstruction(rng):
+    for rank in range(1, 7):
+        rho = states.random_density_from_rng((2, 3), rng, rank=rank)
+        vals, vecs = rho.eigensystem()
+        assert abs(vals.sum() - 1.0) <= 1e-9
+        recon = (vecs * vals) @ np.conj(vecs.T)
+        assert np.max(np.abs(recon - rho.matrix)) <= 1e-8
+        gram = np.conj(vecs.T) @ vecs
+        assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
+        assert np.all(np.diff(vals) <= 0.0)
+        assert rho.rank() == rank
+
+
+def test_classify_decomposes_rho_once(monkeypatch):
+    # the state's one eigendecomposition serves every classify route
+    m = states.random_density((2, 3), rank=3, seed=4).matrix
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array_equal(a, m))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rho = states.QuantumState(m, (2, 3))
+    qss.classify(rho)
+    assert sum(calls) == 1
+    vals, vecs = rho.eigensystem()
+    assert not vals.flags.writeable and not vecs.flags.writeable
 
 
 def test_state_invariants_rejected():
