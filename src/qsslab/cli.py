@@ -186,12 +186,14 @@ def build_parser():
         sp.add_argument("--seed", default="0",
                         help="non-negative integer seed, or 'random' "
                         "(default 0)")
+        return sp
+
+    def add_workers(sp):
         sp.add_argument("--workers", type=int, default=None,
                         help="most processes for search restarts; a second "
                         f"one starts only when each gets {search.MIN_CHUNK} "
                         "restarts (default $QSSLAB_WORKERS, else the CPU "
                         "count)")
-        return sp
 
     sp = add("qss", help="classify a state as quasi-separable")
     sp.add_argument("--state", required=True)
@@ -228,11 +230,13 @@ def build_parser():
     sp.add_argument("--ancilla", required=True)
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--iters", type=int, default=500)
+    add_workers(sp)
 
     sp = add("probe", help="QSS verdicts plus protocol search")
     sp.add_argument("--state", required=True)
     sp.add_argument("--ancilla", required=True)
     sp.add_argument("--budget", type=int, default=32000)
+    add_workers(sp)
 
     sp = add("random-state", help="sample a random density matrix")
     sp.add_argument("--dims", type=int, nargs="+", default=[2, 2])
@@ -242,8 +246,10 @@ def build_parser():
     return p
 
 
-def _dispatch(args, seed, workers):
+def _dispatch(args, seed):
     cmd = args.command
+    if cmd in ("search", "probe"):
+        workers = _default_workers() if args.workers is None else args.workers
     if cmd == "qss":
         rho = _bipartite(_load_density(args.state), cmd, exact=False)
         verdict = qss.classify(rho, budget=args.budget, seed=seed)
@@ -351,8 +357,7 @@ def run_command(argv):
     seed = None  # reported as null when --seed itself is bad
     try:
         seed = _parse_seed(args.seed)
-        workers = _default_workers() if args.workers is None else args.workers
-        inputs, results = _dispatch(args, seed, workers)
+        inputs, results = _dispatch(args, seed)
     except (ParseError, InvalidState, BadParameters) as exc:
         doc = make_report(args.command, {}, {"error": str(exc)}, seed)
         return 2, doc

@@ -96,11 +96,9 @@ class MagicDecomposition:
     lambda_primes: np.ndarray
 
     def ensemble(self, dims=(2, 2)) -> states.Ensemble:
-        members = []
-        for z in self.z_states:
-            w = float(np.real(np.vdot(z, z)))
-            members.append((w, z / np.sqrt(w)))
-        return states.Ensemble(tuple(members), dims)
+        z = np.array(self.z_states)
+        w = np.array([np.vdot(zi, zi).real for zi in z])
+        return states.Ensemble(w, z / np.sqrt(w)[:, None], dims)
 
 
 def magic_decomposition(rho: states.QuantumState) -> MagicDecomposition:
@@ -112,7 +110,7 @@ def magic_decomposition(rho: states.QuantumState) -> MagicDecomposition:
     """
     _check_two_qubit(rho)
     ens = states.spectral_ensemble(rho)
-    x = np.array([np.sqrt(w) * v for w, v in ens.members])  # rows
+    x = np.sqrt(ens.weights)[:, None] * ens.vectors  # rows
     tau = x @ Y2 @ x.T
     tau = (tau + tau.T) / 2
     v, d = linalg.takagi(tau)

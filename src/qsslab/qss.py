@@ -65,8 +65,8 @@ def verify_certificate(rho: states.QuantumState, ensemble, weights) -> bool:
     """
     if ensemble.dims != rho.dims:
         return False
-    recon = states.from_ensemble(ensemble)
-    if np.max(np.abs(recon.matrix - rho.matrix)) > TOLERANCES["reconstruction"]:
+    if (np.max(np.abs(ensemble.mixture() - rho.matrix))
+            > TOLERANCES["reconstruction"]):
         return False
     try:
         new_state = states.reweight(ensemble, weights)
@@ -78,31 +78,37 @@ def verify_certificate(rho: states.QuantumState, ensemble, weights) -> bool:
     return entanglement.separable(new_state)
 
 
-def _verified(rho, ensemble, weights, evidence):
+def _certified(rho, ensemble, weights, evidence, route):
+    """The QSS verdict on a certificate that passes verify_certificate, or
+    None. Beyond 6 dims, separability rests on PPT alone on every route
+    but full-rank, whose I/d is an explicit product decomposition."""
     if not verify_certificate(rho, ensemble, weights):
-        raise QsslabError("internal: QSS certificate failed verification")
+        return None
+    evidence["route"] = route
+    if rho.dim > 6 and route != "full-rank":
+        evidence["separability"] = PPT_ONLY
     return QssVerdict(QSS, (ensemble, np.asarray(weights, dtype=float)), evidence)
 
 
-def _separable_certificate(rho):
-    """A separable rho certifies itself at its spectral weights."""
+def _spectral_certificate(rho, route, weights=None):
+    """rho's spectral ensemble at `weights`, by default its own (a
+    separable rho certifies itself): a certificate by construction, so a
+    failed check is an internal error."""
     ens = states.spectral_ensemble(rho)
-    evidence = {"rank": len(ens), "route": "already-separable"}
-    if rho.dim > 6:
-        evidence["separability"] = PPT_ONLY
-    return _verified(rho, ens, ens.weights, evidence)
+    verdict = _certified(rho, ens, ens.weights if weights is None else weights,
+                         {"rank": len(ens)}, route)
+    if verdict is None:
+        raise QsslabError("internal: QSS certificate failed verification")
+    return verdict
 
 
 def full_rank_certificate(rho: states.QuantumState) -> QssVerdict:
     """Theorem-2 route: full rank means the uniform reweighting of the
     eigenbasis is I/d, which is separable."""
     rank = rho.rank()
-    d = rho.dim
-    if rank < d:
+    if rank < rho.dim:
         return QssVerdict(UNKNOWN, evidence={"rank": rank})
-    ens = states.spectral_ensemble(rho)
-    w = np.full(len(ens), 1.0 / len(ens))
-    return _verified(rho, ens, w, {"rank": rank, "route": "full-rank"})
+    return _spectral_certificate(rho, "full-rank", np.full(rank, 1.0 / rank))
 
 
 def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
@@ -121,7 +127,7 @@ def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 system, got dims {rho.dims}")
     if entanglement.separable(rho):
-        return _separable_certificate(rho)
+        return _spectral_certificate(rho, "already-separable")
     md = entanglement.magic_decomposition(rho)
     lam = md.lambda_primes
     evidence = {"lambda_primes": lam, "rank": len(md.z_states)}
@@ -142,10 +148,8 @@ def reweight_certificate_2q(rho: states.QuantumState) -> QssVerdict:
     wq[0] = q
     wq[1:] *= (1.0 - q) / others
     evidence["z1_weight"] = q
-    if not verify_certificate(rho, ens, wq):
-        return QssVerdict(UNKNOWN, evidence=evidence)
-    evidence["route"] = "z1-reweighting"
-    return QssVerdict(QSS, (ens, wq), evidence)
+    return (_certified(rho, ens, wq, evidence, "z1-reweighting")
+            or QssVerdict(UNKNOWN, evidence=evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,7 @@ def range_certificate(rho: states.QuantumState) -> QssVerdict | None:
         return None
     ens = states.spectral_ensemble(rho)
     # X^+ applied to the product vectors: column k is X^+ |a_k b_k>
-    c = np.conj(np.array(ens.vectors)) @ prod.T
+    c = np.conj(ens.vectors) @ prod.T
     c /= np.sqrt(ens.weights)[:, None]
     v, s, _ = np.linalg.svd(c)
     if s[-1] < SPAN_FLOOR * s[0]:
@@ -240,13 +244,9 @@ def range_certificate(rho: states.QuantumState) -> QssVerdict | None:
     z_ens = states.transform_ensemble(ens, v.T)
     weights = s * s * z_ens.weights
     weights /= weights.sum()
-    if not verify_certificate(rho, z_ens, weights):
-        return None
-    evidence = {"rank": len(ens), "route": "range-product-vectors",
-                "product_vectors": len(prod)}
-    if rho.dim > 6:
-        evidence["separability"] = PPT_ONLY
-    return QssVerdict(QSS, (z_ens, weights), evidence)
+    return _certified(rho, z_ens, weights,
+                      {"rank": len(ens), "product_vectors": len(prod)},
+                      "range-product-vectors")
 
 
 def _check_budget(budget):
@@ -284,7 +284,7 @@ def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
         )
         return QssVerdict(UNKNOWN, evidence=evidence)
 
-    v = np.array(ens.vectors).T
+    v = ens.vectors.T
     floor = TOLERANCES["min_certificate_weight"]
 
     def phi(h):
@@ -351,11 +351,9 @@ def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
         z_ens = states.transform_ensemble(ens, wv.T)
         weights = dw * z_ens.weights
         weights /= weights.sum()
-        if verify_certificate(rho, z_ens, weights):
-            evidence["route"] = "heuristic-search"
-            if d > 6:
-                evidence["separability"] = PPT_ONLY
-            return QssVerdict(QSS, (z_ens, weights), evidence)
+        verdict = _certified(rho, z_ens, weights, evidence, "heuristic-search")
+        if verdict is not None:
+            return verdict
     return QssVerdict(UNKNOWN, evidence=evidence)
 
 
@@ -383,7 +381,7 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     if tuple(rho.dims) == (2, 2):
         return reweight_certificate_2q(rho)
     if entanglement.separable(rho):
-        return _separable_certificate(rho)
+        return _spectral_certificate(rho, "already-separable")
     verdict = range_certificate(rho)
     if verdict is not None:
         return verdict

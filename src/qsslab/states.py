@@ -4,9 +4,11 @@ A QuantumState is a validated density matrix with an explicit tensor
 factorization. Construction decomposes the matrix once: the positivity
 check reads its eigenvalues, and the state keeps the spectrum for every
 later use (its rank, its spectral ensemble, its range). An Ensemble is a
-weighted list of normalized pure states realizing a density matrix;
-reweighting an ensemble (keeping its pure states, changing the
-probabilities) is the basic move the rest of the package builds on.
+pure-state decomposition of a density matrix held as two arrays, the
+weights and the unit vectors as rows; its mixture() is the one sum of a
+weighted ensemble. Reweighting an ensemble (keeping its pure states,
+changing the probabilities) is the basic move the rest of the package
+builds on.
 """
 
 from __future__ import annotations
@@ -77,56 +79,53 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Weighted pure-state decomposition of a density matrix.
-
-    Vectors are stored normalized; weights carry the probabilities.
+    """Weighted pure-state decomposition of a density matrix: weights of
+    shape (k,) and unit vectors as the rows of a (k, d) array, both
+    read-only. mixture() is the one place a weighted ensemble is summed.
     """
 
-    members: tuple  # of (weight, vector)
+    weights: np.ndarray
+    vectors: np.ndarray
     dims: tuple = (2, 2)
 
     def __post_init__(self):
-        members = tuple(
-            (float(w), np.asarray(v, dtype=complex)) for w, v in self.members
-        )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "dims", _positive_dims(self.dims))
-        d = int(np.prod(self.dims))
-        total = 0.0
-        for w, v in members:
-            if not 0.0 < w <= 1.0 + 1e-12:
-                raise InvalidState(f"weights: weight {w} outside (0, 1]")
-            if v.shape != (d,):
-                raise InvalidState(
-                    f"dims: vector shape {v.shape} does not match dims"
-                )
-            if not np.all(np.isfinite(v)):
-                raise InvalidState("finite: member vector contains NaN or Inf")
-            if abs(np.linalg.norm(v) - 1.0) > TOLERANCES["trace_one"]:
-                raise InvalidState("norm: member vector is not unit norm")
-            total += w
+        if len({np.shape(x) for x in self.vectors}) > 1:
+            raise InvalidState("dims: member vectors differ in shape")
+        w = np.array(self.weights, dtype=float)
+        v = np.array(self.vectors, dtype=complex)
+        dims = _positive_dims(self.dims)
+        outside = w[~((w > 0.0) & (w <= 1.0 + 1e-12))]
+        if outside.size:
+            raise InvalidState(f"weights: weight {outside[0]} outside (0, 1]")
+        if w.ndim != 1 or v.shape != (len(w), int(np.prod(dims))):
+            raise InvalidState(f"dims: shapes {w.shape} and {v.shape} of "
+                               f"weights and vectors do not fit dims {dims}")
+        if not np.all(np.isfinite(v)):
+            raise InvalidState("finite: member vector contains NaN or Inf")
+        norms = np.linalg.norm(v, axis=1)
+        if np.any(abs(norms - 1.0) > TOLERANCES["trace_one"]):
+            raise InvalidState("norm: member vector is not unit norm")
+        total = sum(w.tolist())
         if abs(total - 1.0) > TOLERANCES["trace_one"]:
             raise InvalidState(f"weights: sum {total}, expected 1")
-
-    @property
-    def weights(self):
-        return np.array([w for w, _ in self.members])
-
-    @property
-    def vectors(self):
-        return [v for _, v in self.members]
+        w.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "dims", dims)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.weights)
+
+    def mixture(self, weights=None):
+        """sum_i w_i |v_i><v_i| as a matrix, under the ensemble's own
+        weights or the given ones."""
+        w = self.weights if weights is None else weights
+        return (self.vectors.T * w) @ np.conj(self.vectors)
 
 
 def from_ensemble(e: Ensemble) -> QuantumState:
     """Density matrix of a weighted pure-state mixture."""
-    d = int(np.prod(e.dims))
-    m = np.zeros((d, d), dtype=complex)
-    for w, v in e.members:
-        m += w * np.outer(v, np.conj(v))
-    return QuantumState(m, e.dims)
+    return QuantumState(e.mixture(), e.dims)
 
 
 def spectral_ensemble(rho: QuantumState) -> Ensemble:
@@ -135,10 +134,9 @@ def spectral_ensemble(rho: QuantumState) -> Ensemble:
     Eigenvalues below the rank cutoff are dropped.
     """
     vals, vecs = rho.eigensystem()
-    members = [(float(vals[i]), vecs[:, i]) for i in range(rho.rank())]
-    total = sum(w for w, _ in members)
-    members = [(w / total, v) for w, v in members]
-    return Ensemble(tuple(members), rho.dims)
+    w = vals[:rho.rank()]
+    # Python's left-to-right sum: reports depend on the total's last bit
+    return Ensemble(w / sum(w.tolist()), vecs[:, :len(w)].T, rho.dims)
 
 
 def reweight(e: Ensemble, w) -> QuantumState:
@@ -146,14 +144,11 @@ def reweight(e: Ensemble, w) -> QuantumState:
     w = np.asarray(w, dtype=float)
     if w.shape != (len(e),):
         raise BadWeights("weight count does not match ensemble size")
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise BadWeights("weights must be positive")
     if abs(w.sum() - 1.0) > TOLERANCES["trace_one"]:
         raise BadWeights(f"weights sum to {w.sum()}, expected 1")
-    reweighted = Ensemble(
-        tuple((float(wi), v) for wi, (_, v) in zip(w, e.members)), e.dims
-    )
-    return from_ensemble(reweighted)
+    return QuantumState(e.mixture(w), e.dims)
 
 
 def transform_ensemble(e: Ensemble, u) -> Ensemble:
@@ -161,7 +156,7 @@ def transform_ensemble(e: Ensemble, u) -> Ensemble:
 
     u must have orthonormal columns with one column per member; the density
     matrix is unchanged. Weights are folded into the vectors internally and
-    unfolded on output.
+    unfolded on output; members of weight below 1e-14 are dropped.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[1] != len(e):
@@ -170,16 +165,11 @@ def transform_ensemble(e: Ensemble, u) -> Ensemble:
         )
     if np.max(np.abs(np.conj(u.T) @ u - np.eye(u.shape[1]))) > TOLERANCES["unitary"]:
         raise NotIsometry("columns are not orthonormal within tolerance")
-    x = np.array([np.sqrt(w) * v for w, v in e.members])  # subnormalized rows
-    z = u @ x
-    members = []
-    for zi in z:
-        wi = float(np.real(np.vdot(zi, zi)))
-        if wi > 1e-14:
-            members.append((wi, zi / np.sqrt(wi)))
-    total = sum(w for w, _ in members)
-    members = [(w / total, v) for w, v in members]
-    return Ensemble(tuple(members), e.dims)
+    z = u @ (np.sqrt(e.weights)[:, None] * e.vectors)
+    # one vdot per row: reports depend on these weights' last bits
+    w = np.array([np.vdot(zi, zi).real for zi in z])
+    z, w = z[w > 1e-14], w[w > 1e-14]
+    return Ensemble(w / sum(w.tolist()), z / np.sqrt(w)[:, None], e.dims)
 
 
 def purity(rho: QuantumState) -> float:
@@ -294,16 +284,17 @@ def ensemble_to_dict(e: Ensemble) -> dict:
     return {
         "dims": list(e.dims),
         "members": [
-            {"weight": w, "vector": complex_to_pairs(v)} for w, v in e.members
+            {"weight": w, "vector": v}
+            for w, v in zip(e.weights.tolist(), complex_to_pairs(e.vectors))
         ],
     }
 
 
 def ensemble_from_dict(data) -> Ensemble:
     try:
-        members = tuple(
-            (m["weight"], pairs_to_complex(m["vector"])) for m in data["members"]
-        )
-        return Ensemble(members, data["dims"])
+        members = data["members"]
+        return Ensemble([m["weight"] for m in members],
+                        [pairs_to_complex(m["vector"]) for m in members],
+                        data["dims"])
     except _MALFORMED as exc:
         raise InvalidState(f"format: {exc}") from exc

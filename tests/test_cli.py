@@ -236,6 +236,18 @@ def test_bad_workers_exit_2(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_workers_belong_to_the_searching_commands(tmp_path, monkeypatch):
+    # concurrence never searches, so neither the variable nor the flag
+    # reaches it
+    s = write_state(tmp_path, "s.json", states.werner(0.9))
+    monkeypatch.setenv("QSSLAB_WORKERS", "two")
+    code, doc = cli.run_command(["concurrence", "--state", s])
+    assert code == 0, doc
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(
+            ["concurrence", "--state", s, "--workers", "0"])
+
+
 def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.delenv("QSSLAB_WORKERS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -366,7 +378,9 @@ def _bad_input_files(tmp_path):
 ])
 def test_bad_dims_rank_and_shapes_exit_2(tmp_path, argv, problem):
     files = _bad_input_files(tmp_path)
-    argv = [files.get(a, a) for a in argv.split()] + ["--workers", "1"]
+    argv = [files.get(a, a) for a in argv.split()]
+    if argv[0] in ("search", "probe"):
+        argv += ["--workers", "1"]
     with np.errstate(all="raise"):  # no NaN detour to the error
         code, doc = cli.run_command(argv)
     assert code == 2
@@ -377,9 +391,9 @@ def test_bad_dims_rank_and_shapes_exit_2(tmp_path, argv, problem):
 def test_bad_budget_exits_2_without_a_traceback(tmp_path, command, budget):
     path = write_state(tmp_path, "r23.json",
                        states.random_density((2, 3), rank=2, seed=0))
-    argv = [command, "--state", path, "--budget", budget, "--workers", "1"]
+    argv = [command, "--state", path, "--budget", budget]
     if command == "probe":
-        argv += ["--ancilla", path]
+        argv += ["--ancilla", path, "--workers", "1"]
     env = dict(os.environ, PYTHONPATH=str(Path(qsslab.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "qsslab.cli"] + argv,
                           env=env, capture_output=True, text=True, timeout=120)
@@ -429,7 +443,8 @@ def test_load_state_round_trips(seed, dims, rank, as_ensemble):
     assert back.dims == obj.dims
     if as_ensemble:
         assert len(back) == len(obj)
-        for (w, v), (w0, v0) in zip(back.members, obj.members):
+        for w, v, w0, v0 in zip(back.weights, back.vectors, obj.weights,
+                                obj.vectors):
             assert w == w0 and np.array_equal(v, v0)
     else:
         assert np.array_equal(back.matrix, rho.matrix)

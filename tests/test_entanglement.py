@@ -118,9 +118,7 @@ def test_magic_lambda_invariant_under_local_unitaries(rng):
 
 
 def test_concurrence_convexity_on_bell_diagonal():
-    e = states.Ensemble(
-        ((0.7, states.PHI_PLUS), (0.3, states.PSI_MINUS)), (2, 2)
-    )
+    e = states.Ensemble([0.7, 0.3], [states.PHI_PLUS, states.PSI_MINUS], (2, 2))
     base = max(
         entanglement.concurrence(states.pure_state(states.PHI_PLUS)),
         entanglement.concurrence(states.pure_state(states.PSI_MINUS)),

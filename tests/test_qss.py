@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsslab import entanglement, qss, states
 from qsslab.config import TOLERANCES
-from qsslab.errors import BadParameters, DimensionMismatch
+from qsslab.errors import BadParameters, DimensionMismatch, QsslabError
 from conftest import bell_projector, eq10_source, eq11_ancilla
 
 _SEEDS = st.integers(0, 2**32 - 1)
@@ -479,14 +479,66 @@ def test_verify_certificate_rejects_a_mismatched_certificate():
     ens = states.spectral_ensemble(rho)
     # the right decomposition on another cut, or of another state
     assert not qss.verify_certificate(
-        rho, states.Ensemble(((1.0, v),), (3, 2)), [1.0])
+        rho, states.Ensemble([1.0], [v], (3, 2)), [1.0])
     assert not qss.verify_certificate(
-        rho, states.Ensemble(((1.0, states.PHI_PLUS),), (2, 2)), [1.0])
+        rho, states.Ensemble([1.0], [states.PHI_PLUS], (2, 2)), [1.0])
     # weights that are no reweighting: the wrong count, or a zero
     assert not qss.verify_certificate(rho, ens, [0.5, 0.5])
     mixed = states.random_density((2, 3), rank=2, seed=0)
     assert not qss.verify_certificate(
         mixed, states.spectral_ensemble(mixed), [1.0, 0.0])
+
+
+def test_verify_certificate_builds_only_the_reweighted_state(monkeypatch):
+    # the reconstruction check compares matrices; the one state built is
+    # the reweighted one the separability test reads
+    rho = states.random_density((2, 3), rank=4, seed=3)
+    verdict = qss.classify(rho)
+    assert verdict.status == qss.QSS
+    ens, w = verdict.certificate
+    init = states.QuantumState.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(states.QuantumState, "__post_init__", counting)
+    assert qss.verify_certificate(rho, ens, w)
+    assert len(built) == 1
+
+
+def _separable_rank2_2x3():
+    m = np.zeros((6, 6))
+    m[0, 0] = m[4, 4] = 0.5  # |00> and |11>
+    return states.QuantumState(m, (2, 3))
+
+
+@pytest.mark.parametrize("route, rho, failed", [
+    (qss.full_rank_certificate, states.random_density((2, 2), seed=0),
+     QsslabError),
+    (qss.classify, _separable_rank2_2x3(), QsslabError),
+    (qss.reweight_certificate_2q,
+     states.random_density((2, 2), rank=2, seed=0), qss.UNKNOWN),
+    (qss.range_certificate, states.random_density((2, 3), rank=4, seed=0),
+     None),
+    (qss.heuristic_search, states.random_density((3, 3), rank=6, seed=0),
+     qss.UNKNOWN),
+], ids=["full-rank", "already-separable", "z1-reweighting",
+        "range-product-vectors", "heuristic-search"])
+def test_failed_verification_keeps_each_routes_policy(monkeypatch, route,
+                                                      rho, failed):
+    assert route(rho).status == qss.QSS
+    monkeypatch.setattr(qss, "verify_certificate", lambda *args: False)
+    if failed is QsslabError:
+        with pytest.raises(QsslabError, match="verification"):
+            route(rho)
+    elif failed is None:
+        assert route(rho) is None
+    else:
+        verdict = route(rho)
+        assert verdict.status == failed
+        assert verdict.certificate is None and "route" not in verdict.evidence
 
 
 def test_certificate_transported_through_local_filter(rng):
@@ -503,16 +555,14 @@ def test_certificate_transported_through_local_filter(rng):
     # transported ensemble: filter each member, renormalize
     members = []
     new_w = []
-    for wi, (_, v) in zip(w, ens.members):
+    for wi, v in zip(w, ens.vectors):
         fv = f @ v
         n = np.real(np.vdot(fv, fv))
         members.append(fv / np.sqrt(n))
         new_w.append(wi * n)
     new_w = np.array(new_w)
     new_w /= new_w.sum()
-    transported = states.Ensemble(
-        tuple((wi, v) for wi, v in zip(new_w, members)), (2, 2)
-    )
+    transported = states.Ensemble(new_w, members, (2, 2))
     # reference: the same weights applied before filtering
     pre = states.reweight(ens, w)
     ref = f @ pre.matrix @ np.conj(f.T)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsslab import entanglement, linalg, qss, states
 from qsslab.errors import BadWeights, DimensionMismatch, InvalidState, NotIsometry
@@ -10,15 +11,14 @@ from conftest import bell_projector
 
 def test_from_ensemble_pure_member():
     psi = states.basis_ket((0, 0), (2, 2))
-    e = states.Ensemble(((1.0, psi),), (2, 2))
+    e = states.Ensemble([1.0], [psi], (2, 2))
     rho = states.from_ensemble(e)
     assert np.allclose(rho.matrix, bell_projector(psi))
 
 
 def test_from_ensemble_eq10_mixture():
     e = states.Ensemble(
-        ((0.5, states.PHI_PLUS), (0.5, states.basis_ket((0, 1), (2, 2)))),
-        (2, 2),
+        [0.5, 0.5], [states.PHI_PLUS, states.basis_ket((0, 1), (2, 2))], (2, 2)
     )
     rho = states.from_ensemble(e)
     expected = 0.5 * bell_projector(states.PHI_PLUS) + 0.5 * bell_projector(
@@ -28,16 +28,30 @@ def test_from_ensemble_eq10_mixture():
 
 
 def test_from_ensemble_complete_basis_is_maximally_mixed():
-    members = tuple((0.25, states.ket(i, 4)) for i in range(4))
-    rho = states.from_ensemble(states.Ensemble(members, (2, 2)))
+    rho = states.from_ensemble(
+        states.Ensemble(np.full(4, 0.25), np.eye(4), (2, 2)))
     assert np.allclose(rho.matrix, np.eye(4) / 4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), k=st.integers(1, 6))
+def test_mixture_matches_a_sum_of_outer_products(seed, dims, k):
+    rng = np.random.default_rng(seed)
+    vectors = [states.random_pure_from_rng(dims, rng) for _ in range(k)]
+    weights, other = rng.dirichlet(np.ones(k), size=2)
+    e = states.Ensemble(weights, vectors, dims)
+    assert not e.weights.flags.writeable and not e.vectors.flags.writeable
+    for w, got in ((weights, e.mixture()), (other, e.mixture(other))):
+        ref = sum(wi * np.outer(v, np.conj(v)) for wi, v in zip(w, vectors))
+        assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def test_spectral_ensemble_pure():
     rho = states.pure_state(states.PHI_PLUS)
     e = states.spectral_ensemble(rho)
     assert len(e) == 1
-    assert abs(e.members[0][0] - 1.0) <= 1e-12
+    assert abs(e.weights[0] - 1.0) <= 1e-12
 
 
 def test_spectral_ensemble_maximally_mixed():
@@ -75,9 +89,7 @@ def test_reweight_uniform_gives_maximally_mixed(rng):
 
 
 def test_reweight_bell_mixture_kills_concurrence():
-    e = states.Ensemble(
-        ((0.7, states.PHI_PLUS), (0.3, states.PSI_MINUS)), (2, 2)
-    )
+    e = states.Ensemble([0.7, 0.3], [states.PHI_PLUS, states.PSI_MINUS], (2, 2))
     out = states.reweight(e, [0.5, 0.5])
     assert entanglement.concurrence(out) <= 1e-12
 
@@ -88,6 +100,13 @@ def test_reweight_rejects_bad_weights():
         states.reweight(e, [0.5, 0.5])
     with pytest.raises(BadWeights):
         states.reweight(e, [0.5, 0.3, 0.3, -0.1])
+
+
+def test_reweight_rejects_nan_weights():
+    # w <= 0 and |sum - 1| > tol are both false for NaN
+    e = states.spectral_ensemble(states.random_density((2, 2), rank=2, seed=0))
+    with pytest.raises(BadWeights, match="positive"):
+        states.reweight(e, [np.nan, 1.0])
 
 
 def test_reweight_positivity_near_vertex(rng):
@@ -105,9 +124,7 @@ def test_transform_ensemble_identity():
 
 
 def test_transform_ensemble_hadamard_mix():
-    e = states.Ensemble(
-        ((0.5, states.ket(0, 2)), (0.5, states.ket(1, 2))), (2,)
-    )
+    e = states.Ensemble([0.5, 0.5], np.eye(2), (2,))
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     out = states.transform_ensemble(e, h)
     assert len(out) == 2
@@ -225,9 +242,15 @@ def test_ensemble_rejects_non_finite_members(bad):
     # abs(norm - 1) > tol is false for NaN, so the norm check alone lets it in
     vector = np.array([bad, 0, 0, 0], dtype=complex)
     with pytest.raises(InvalidState, match="finite"):
-        states.Ensemble(((1.0, vector),), (2, 2))
+        states.Ensemble([1.0], [vector], (2, 2))
     with pytest.raises(InvalidState):
-        states.Ensemble(((np.real(bad), states.PHI_PLUS),), (2, 2))
+        states.Ensemble([np.real(bad)], [states.PHI_PLUS], (2, 2))
+
+
+def test_ensemble_rejects_vectors_of_unequal_length():
+    vectors = [states.PHI_PLUS, np.ones(3) / np.sqrt(3)]
+    with pytest.raises(InvalidState, match="dims"):
+        states.Ensemble([0.5, 0.5], vectors, (2, 2))
 
 
 def test_json_roundtrip(rng):
@@ -241,6 +264,6 @@ def test_json_roundtrip(rng):
     data = json.loads(json.dumps(states.ensemble_to_dict(e)))
     back = states.ensemble_from_dict(data)
     assert len(back) == len(e)
-    for (w1, v1), (w2, v2) in zip(back.members, e.members):
+    for w1, v1, w2, v2 in zip(back.weights, back.vectors, e.weights, e.vectors):
         assert w1 == pytest.approx(w2, abs=0)
         assert np.array_equal(v1, v2)
