@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__, entanglement, protocol, qss, search, states
 from .config import TOLERANCES
@@ -23,7 +22,11 @@ from .errors import (
     NonUnitary,
     ParseError,
     QsslabError,
+    ZeroProbability,
 )
+
+# random-state's largest total dimension: 256 takes 0.4 s and 70 MB
+_MAX_RANDOM_DIM = 256
 
 CONFIG_HASH = hashlib.sha256(
     json.dumps(TOLERANCES, sort_keys=True).encode()
@@ -70,6 +73,12 @@ def _bipartite(rho, command, exact=True) -> states.QuantumState:
             f"got dims {rho.dims}"
         )
     return rho
+
+
+def _bipartite_pair(args, command):
+    """The --state and --ancilla states, each with two tensor factors."""
+    return tuple(_bipartite(_load_density(path), command)
+                 for path in (args.state, args.ancilla))
 
 
 def _load_two_qubit(path, command) -> states.QuantumState:
@@ -133,19 +142,6 @@ def write_report(doc, path=None):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _outcomes_payload(outcomes):
-    return [
-        {
-            "outcome": o.outcome_index,
-            "probability": o.probability,
-            "post_state": states.state_to_dict(o.post_state)
-            if o.post_state is not None
-            else None,
-        }
-        for o in outcomes
-    ]
 
 
 def _parse_seed(value):
@@ -275,8 +271,7 @@ def _dispatch(args, seed):
             ),
         }
     if cmd == "simulate":
-        rho_s, rho_a = (_bipartite(_load_density(path), cmd)
-                        for path in (args.state, args.ancilla))
+        rho_s, rho_a = _bipartite_pair(args, cmd)
         if args.round_file:
             rnd = _load_round(args.round_file, rho_s, rho_a)
         elif args.protocol_name:
@@ -286,20 +281,23 @@ def _dispatch(args, seed):
         outcomes = protocol.run_round(rho_s, rho_a, rnd)
         inputs = {"state": args.state, "ancilla": args.ancilla,
                   "round": args.round_file or args.protocol_name}
-        return inputs, {"outcomes": _outcomes_payload(outcomes)}
+        return inputs, {"outcomes": [o.to_dict() for o in outcomes]}
     if cmd == "filter":
         rho = _load_density(args.state)
-        if args.c_file:
-            c = _fitted(_load_matrix(args.c_file), rho.dim, "--c")
-            out, prob = protocol.apply_global_filter(rho, c)
-        elif args.a_file and args.b_file:
-            da, db = _bipartite(rho, cmd).dims
-            out, prob = protocol.apply_local_filter(
-                rho, _fitted(_load_matrix(args.a_file), da, "--a"),
-                _fitted(_load_matrix(args.b_file), db, "--b"),
-            )
-        else:
-            raise BadParameters("filter needs --c or both --a and --b")
+        try:
+            if args.c_file:
+                c = _fitted(_load_matrix(args.c_file), rho.dim, "--c")
+                out, prob = protocol.apply_global_filter(rho, c)
+            elif args.a_file and args.b_file:
+                da, db = _bipartite(rho, cmd).dims
+                out, prob = protocol.apply_local_filter(
+                    rho, _fitted(_load_matrix(args.a_file), da, "--a"),
+                    _fitted(_load_matrix(args.b_file), db, "--b"),
+                )
+            else:
+                raise BadParameters("filter needs --c or both --a and --b")
+        except ZeroProbability as exc:  # a filter that keeps nothing
+            raise BadParameters(str(exc)) from exc
         inputs = {"state": args.state, "a": args.a_file, "b": args.b_file,
                   "c": args.c_file}
         return inputs, {"probability": prob,
@@ -307,11 +305,10 @@ def _dispatch(args, seed):
     if cmd == "reproduce-cnot":
         outcomes = protocol.cnot_example(args.p1, args.lambda2)
         return {"p1": args.p1, "lambda2": args.lambda2}, {
-            "outcomes": _outcomes_payload(outcomes)
+            "outcomes": [o.to_dict() for o in outcomes]
         }
     if cmd == "search":
-        rho_s, rho_a = (_bipartite(_load_density(path), cmd)
-                        for path in (args.state, args.ancilla))
+        rho_s, rho_a = _bipartite_pair(args, cmd)
         report = search.optimize_protocol(
             rho_s, rho_a, restarts=args.restarts, iters=args.iters,
             seed=seed, workers=workers,
@@ -320,8 +317,7 @@ def _dispatch(args, seed):
                   "restarts": args.restarts, "iters": args.iters}
         return inputs, report.to_dict()
     if cmd == "probe":
-        rho_s, rho_a = (_bipartite(_load_density(path), cmd)
-                        for path in (args.state, args.ancilla))
+        rho_s, rho_a = _bipartite_pair(args, cmd)
         result = search.impossibility_probe(
             rho_s, rho_a, budget=args.budget, seed=seed, workers=workers
         )
@@ -331,7 +327,11 @@ def _dispatch(args, seed):
     if cmd == "random-state":
         if min(args.dims) < 1:
             raise BadParameters(f"--dims must be positive, got {args.dims}")
-        dim = int(np.prod(args.dims))
+        dim = math.prod(args.dims)  # exact, and before any allocation
+        if dim > _MAX_RANDOM_DIM:
+            raise BadParameters(
+                f"--dims must multiply to at most {_MAX_RANDOM_DIM}, got {dim}"
+            )
         if args.rank is not None and not 1 <= args.rank <= dim:
             raise BadParameters(
                 f"--rank must be between 1 and the dimension {dim}, "
@@ -340,9 +340,7 @@ def _dispatch(args, seed):
         rho = states.random_density(args.dims, rank=args.rank, seed=seed)
         payload = states.state_to_dict(rho)
         if args.state_out:
-            with open(args.state_out, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            write_report(payload, args.state_out)
         return {"dims": args.dims, "rank": args.rank}, {"state": payload}
     raise BadParameters(f"unknown command {cmd!r}")
 

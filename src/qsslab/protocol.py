@@ -9,6 +9,10 @@ kron of source and ancilla); the local unitaries act in the order
 [SS_A, AS_A, SS_B, AS_B]. round_kernel reorders the tensor factors with
 a transpose, the single most error-prone spot in this module;
 permutation_matrix spells the same reordering out as a matrix.
+
+Both postselections, a round's ancilla outcome and a filter, keep the
+normalized post state of the branch that was kept; _post_state builds
+every one of them.
 """
 
 from __future__ import annotations
@@ -53,6 +57,14 @@ class RoundOutcome:
     outcome_index: str
     probability: float
     post_state: states.QuantumState | None
+
+    def to_dict(self):
+        post = self.post_state
+        return {
+            "outcome": self.outcome_index,
+            "probability": self.probability,
+            "post_state": None if post is None else states.state_to_dict(post),
+        }
 
 
 def permutation_matrix(dims, perm):
@@ -123,33 +135,26 @@ def round_kernel(total, dims_s, dims_a, u_alice, u_bob, work=None):
     return probs, blocks
 
 
-def run_round_raw(rho_s, rho_a, rnd):
-    """Outcome labels, probabilities, and unnormalized post matrices.
+def _post_state(block, prob, dims):
+    """The post state of an unnormalized block of trace prob, normalized
+    and hermitized; None when prob is at most probability_floor."""
+    if prob <= TOLERANCES["probability_floor"]:
+        return None
+    m = block / prob
+    return states.QuantumState((m + np.conj(m.T)) / 2, dims)
 
-    Skips QuantumState validation on the outputs.
-    """
+
+def run_round(rho_s, rho_a, rnd) -> list[RoundOutcome]:
+    """Simulate one round and return every measurement branch."""
     probs, blocks = round_kernel(
         np.kron(rho_s.matrix, rho_a.matrix), rho_s.dims, rho_a.dims,
         rnd.u_alice, rnd.u_bob,
     )
     daa, dab = rho_a.dims
     labels = [f"{ma}{mb}" for ma in range(daa) for mb in range(dab)]
-    return [(label, float(p), b) for label, p, b in zip(labels, probs, blocks)]
-
-
-def run_round(rho_s, rho_a, rnd) -> list[RoundOutcome]:
-    """Simulate one round and return every measurement branch."""
-    outcomes = []
-    for label, prob, block in run_round_raw(rho_s, rho_a, rnd):
-        if prob <= TOLERANCES["probability_floor"]:
-            outcomes.append(RoundOutcome(label, max(prob, 0.0), None))
-            continue
-        m = block / prob
-        m = (m + np.conj(m.T)) / 2
-        outcomes.append(
-            RoundOutcome(label, prob, states.QuantumState(m, rho_s.dims))
-        )
-    return outcomes
+    return [RoundOutcome(label, max(prob, 0.0),
+                         _post_state(block, prob, rho_s.dims))
+            for label, prob, block in zip(labels, probs.tolist(), blocks)]
 
 
 def apply_local_filter(rho_s, a, b):
@@ -170,11 +175,10 @@ def apply_global_filter(rho_s, c):
         raise DimensionMismatch("filter shape does not match source dimension")
     m = c @ rho_s.matrix @ np.conj(c.T)
     prob = float(np.real(np.trace(m)))
-    if prob <= 1e-12:
+    out = _post_state(m, prob, rho_s.dims)
+    if out is None:
         raise ZeroProbability(f"filter annihilates the state (trace {prob})")
-    m = m / prob
-    m = (m + np.conj(m.T)) / 2
-    return states.QuantumState(m, rho_s.dims), prob
+    return out, prob
 
 
 # ---------------------------------------------------------------------------

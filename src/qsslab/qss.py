@@ -90,6 +90,15 @@ def _certified(rho, ensemble, weights, evidence, route):
     return QssVerdict(QSS, (ensemble, np.asarray(weights, dtype=float)), evidence)
 
 
+def _reweighted_certificate(rho, ens, u, scale, evidence, route):
+    """_certified on ens transformed by u (states.transform_ensemble), its
+    members' weights scaled by `scale` and normalized."""
+    z_ens = states.transform_ensemble(ens, u)
+    weights = scale * z_ens.weights
+    weights /= weights.sum()
+    return _certified(rho, z_ens, weights, evidence, route)
+
+
 def _spectral_certificate(rho, route, weights=None):
     """rho's spectral ensemble at `weights`, by default its own (a
     separable rho certifies itself): a certificate by construction, so a
@@ -241,12 +250,9 @@ def range_certificate(rho: states.QuantumState) -> QssVerdict | None:
     v, s, _ = np.linalg.svd(c)
     if s[-1] < SPAN_FLOOR * s[0]:
         return None
-    z_ens = states.transform_ensemble(ens, v.T)
-    weights = s * s * z_ens.weights
-    weights /= weights.sum()
-    return _certified(rho, z_ens, weights,
-                      {"rank": len(ens), "product_vectors": len(prod)},
-                      "range-product-vectors")
+    return _reweighted_certificate(
+        rho, ens, v.T, s * s, {"rank": len(ens), "product_vectors": len(prod)},
+        "range-product-vectors")
 
 
 def _check_budget(budget):
@@ -348,10 +354,8 @@ def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
         # z_i = V sqrt(Lambda) w_i for Lambda^-1/2 H Lambda^-1/2 = W D W^dagger
         root = 1.0 / np.sqrt(ens.weights)
         dw, wv = np.linalg.eigh(root[:, None] * h * root)
-        z_ens = states.transform_ensemble(ens, wv.T)
-        weights = dw * z_ens.weights
-        weights /= weights.sum()
-        verdict = _certified(rho, z_ens, weights, evidence, "heuristic-search")
+        verdict = _reweighted_certificate(rho, ens, wv.T, dw, evidence,
+                                          "heuristic-search")
         if verdict is not None:
             return verdict
     return QssVerdict(UNKNOWN, evidence=evidence)

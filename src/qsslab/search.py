@@ -94,21 +94,14 @@ class SearchReport:
     processes: int = 1
 
     def to_dict(self):
-        best_outcome = None
-        if self.best_outcome is not None:
-            post = self.best_outcome.post_state
-            best_outcome = {
-                "outcome": self.best_outcome.outcome_index,
-                "probability": self.best_outcome.probability,
-                "post_state": states.state_to_dict(post) if post else None,
-            }
+        best = self.best_outcome
         return {
             "best_score": self.best_score,
             "best_round": {
                 "u_alice": states.complex_to_pairs(self.best_round.u_alice),
                 "u_bob": states.complex_to_pairs(self.best_round.u_bob),
             },
-            "best_outcome": best_outcome,
+            "best_outcome": None if best is None else best.to_dict(),
             "restarts_used": self.restarts_used,
             "success": self.success,
             "trace": list(self.trace),

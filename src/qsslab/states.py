@@ -208,7 +208,6 @@ def basis_ket(bits, dims):
 
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 

@@ -170,6 +170,43 @@ def test_random_state_command(tmp_path):
     assert doc2["results"]["state"] == doc["results"]["state"]
 
 
+def test_random_state_bounds_the_dimension_before_sampling(monkeypatch):
+    # 256 is sampled; above it no array is built, however large the request
+    code, doc = cli.run_command(["random-state", "--dims", "2", "128",
+                                 "--rank", "1"])
+    assert code == 0 and doc["results"]["state"]["dims"] == [2, 128]
+
+    def sample(*args, **kwargs):
+        raise AssertionError("random-state sampled an out-of-range dimension")
+
+    monkeypatch.setattr(states, "random_density", sample)
+    for dims in (["257"], ["1000", "1000"], ["65536"] * 4):
+        code, doc = cli.run_command(["random-state", "--dims", *dims])
+        assert code == 2
+        assert "--dims must multiply to at most 256" in doc["results"]["error"]
+
+
+def test_search_best_outcome_is_simulate_outcome(tmp_path):
+    # the best round written to a round file and run by simulate gives back
+    # the search's best outcome exactly: both encode it the same way
+    s = write_state(tmp_path, "s.json", states.random_density((2, 3), seed=3))
+    a = write_state(tmp_path, "a.json", states.random_density((2, 2), seed=4))
+    code, doc = cli.run_command(["search", "--state", s, "--ancilla", a,
+                                 "--restarts", "2", "--iters", "40",
+                                 "--workers", "1"])
+    assert code == 0
+    best = doc["results"]["best_outcome"]
+    assert best is not None and best["post_state"] is not None
+    round_file = tmp_path / "round.json"
+    round_file.write_text(json.dumps(doc["results"]["best_round"]))
+    code, doc = cli.run_command(["simulate", "--state", s, "--ancilla", a,
+                                 "--round", str(round_file)])
+    assert code == 0
+    same = [o for o in doc["results"]["outcomes"]
+            if o["outcome"] == best["outcome"]]
+    assert same == [best]
+
+
 def test_invalid_state_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dims": [2, 2], "matrix": [[[1.0, 0.0]]]}))
@@ -344,7 +381,8 @@ def _bad_input_files(tmp_path):
                           states.random_density(dims, seed=1))
         for name, dims in (("s4", [4]), ("s222", [2, 2, 2]), ("s22", [2, 2]))
     }
-    for name, m in (("c3", np.eye(3)), ("c2", np.eye(2))):
+    for name, m in (("c3", np.eye(3)), ("c2", np.eye(2)),
+                    ("z4", np.zeros((4, 4))), ("z2", np.zeros((2, 2)))):
         files[name] = str(tmp_path / f"{name}.json")
         Path(files[name]).write_text(json.dumps(states.complex_to_pairs(m)))
     for name, ua, ub in (("short", np.eye(4), np.eye(2)),
@@ -371,6 +409,9 @@ def _bad_input_files(tmp_path):
     ("filter --state s22 --c c3", "--c must be 4x4"),
     ("filter --state s22 --a c3 --b c2", "--a must be 2x2"),
     ("filter --state s222 --a c2 --b c2", "tensor factors"),
+    ("filter --state s22 --c z4", "annihilates"),
+    ("filter --state s22 --a z2 --b c2", "annihilates"),
+    ("filter --state s22 --a c2 --b z2", "annihilates"),
     ("random-state --rank -1", "--rank"),
     ("random-state --rank 0", "--rank"),
     ("random-state --dims 2 2 --rank 5", "--rank"),

@@ -334,11 +334,14 @@ def test_round_kernel_stack_matches_single_rounds(rng):
         for k in range(3):
             rnd = protocol.ProtocolRound(uas[k], ubs[k])
             want = oracle_run_round(rho_s, rho_a, rnd)
-            raw = protocol.run_round_raw(rho_s, rho_a, rnd)
-            for (label, prob, block), p, b in zip(raw, probs[k], blocks[k]):
+            single = protocol.round_kernel(total, dims_s, dims_a, uas[k], ubs[k])
+            outcomes = protocol.run_round(rho_s, rho_a, rnd)
+            assert [o.probability for o in outcomes] == single[0].tolist()
+            for o, prob, block, p, b in zip(outcomes, *single, probs[k],
+                                            blocks[k]):
                 assert prob == p and block.tobytes() == b.tobytes()
-                assert abs(prob - want[label][0]) <= 1e-12
-                assert np.max(np.abs(block - want[label][1])) <= 1e-12
+                assert abs(prob - want[o.outcome_index][0]) <= 1e-12
+                assert np.max(np.abs(block - want[o.outcome_index][1])) <= 1e-12
 
 
 def _unitary_stacks(rng, da, db, sizes):
@@ -379,13 +382,19 @@ def test_run_round_results_survive_later_rounds():
     rho_a = states.random_density_from_rng((2, 2), rng)
     rounds = [protocol.ProtocolRound(ua[0], ub[0])
               for ua, ub in _unitary_stacks(rng, 4, 6, (1, 1, 1))]
-    raw = protocol.run_round_raw(rho_s, rho_a, rounds[0])
+    total = np.kron(rho_s.matrix, rho_a.matrix)
+
+    def blocks(rnd):  # a single round through the kernel, no work list
+        return protocol.round_kernel(total, rho_s.dims, rho_a.dims,
+                                     rnd.u_alice, rnd.u_bob)[1]
+
+    raw = blocks(rounds[0])
     outcomes = protocol.run_round(rho_s, rho_a, rounds[0])
-    kept_raw = [b.copy() for _, _, b in raw]
+    kept_raw = [b.copy() for b in raw]
     kept = [o.post_state.matrix.copy() for o in outcomes]
     for rnd in rounds[1:]:
-        protocol.run_round_raw(rho_s, rho_a, rnd)
+        blocks(rnd)
         protocol.run_round(rho_s, rho_a, rnd)
-    assert all(np.array_equal(b, k) for (_, _, b), k in zip(raw, kept_raw))
+    assert all(np.array_equal(b, k) for b, k in zip(raw, kept_raw))
     assert all(np.array_equal(o.post_state.matrix, k)
                for o, k in zip(outcomes, kept))
