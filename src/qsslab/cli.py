@@ -1,8 +1,12 @@
 """Command-line surface.
 
 Every subcommand emits a ReportDocument as JSON (stable key order,
-trailing newline) to --out or stdout, embedding the seed and a hash of the
-numerical configuration so runs are replayable.
+trailing newline) to --out or stdout, embedding a hash of the numerical
+configuration and the seed, so runs are replayable. Only search, probe
+and random-state read a seed and take --seed; the other reports carry
+"seed": null. Every state a command reads is bipartite: it has exactly
+two tensor factors. The class of an error picks the exit code: bad input
+(_INPUT_ERRORS) exits 2, any other QsslabError 1.
 """
 
 from __future__ import annotations
@@ -18,12 +22,17 @@ from . import __version__, entanglement, protocol, qss, search, states
 from .config import TOLERANCES
 from .errors import (
     BadParameters,
+    DimensionMismatch,
     InvalidState,
     NonUnitary,
     ParseError,
     QsslabError,
     ZeroProbability,
 )
+
+# errors in what the caller gave: each exits 2, any other QsslabError 1
+_INPUT_ERRORS = (ParseError, InvalidState, BadParameters, DimensionMismatch,
+                 NonUnitary, ZeroProbability)
 
 # random-state's largest total dimension: 256 takes 0.4 s and 70 MB
 _MAX_RANDOM_DIM = 256
@@ -64,12 +73,12 @@ def _load_density(path) -> states.QuantumState:
     return obj
 
 
-def _bipartite(rho, command, exact=True) -> states.QuantumState:
-    """rho, if it has two tensor factors (at least two if not exact)."""
-    if len(rho.dims) < 2 or (exact and len(rho.dims) > 2):
-        need = "two" if exact else "at least two"
+def _bipartite(path, command) -> states.QuantumState:
+    """The state in path, if it has two tensor factors."""
+    rho = _load_density(path)
+    if len(rho.dims) != 2:
         raise BadParameters(
-            f"{command} needs a state with {need} tensor factors, "
+            f"{command} needs a state with two tensor factors, "
             f"got dims {rho.dims}"
         )
     return rho
@@ -77,15 +86,7 @@ def _bipartite(rho, command, exact=True) -> states.QuantumState:
 
 def _bipartite_pair(args, command):
     """The --state and --ancilla states, each with two tensor factors."""
-    return tuple(_bipartite(_load_density(path), command)
-                 for path in (args.state, args.ancilla))
-
-
-def _load_two_qubit(path, command) -> states.QuantumState:
-    rho = _load_density(path)
-    if tuple(rho.dims) != (2, 2):
-        raise BadParameters(f"{command} needs a 2x2 state, got dims {rho.dims}")
-    return rho
+    return _bipartite(args.state, command), _bipartite(args.ancilla, command)
 
 
 def _fitted(m, dim, name):
@@ -112,12 +113,9 @@ def _load_round(path, rho_s, rho_a) -> protocol.ProtocolRound:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     da, db = (rho_s.dims[i] * rho_a.dims[i] for i in (0, 1))
-    try:
-        return protocol.ProtocolRound(
-            _fitted(ua, da, "u_alice"), _fitted(ub, db, "u_bob")
-        )
-    except NonUnitary as exc:
-        raise BadParameters(f"{path}: {exc}") from exc
+    return protocol.ProtocolRound(
+        _fitted(ua, da, "u_alice"), _fitted(ub, db, "u_bob")
+    )
 
 
 def make_report(command, inputs, results, seed):
@@ -176,13 +174,12 @@ def build_parser():
     p = argparse.ArgumentParser(prog="qsslab")
     p.add_argument("--out", help="write the report here instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
+    add = sub.add_parser
 
-    def add(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def add_seed(sp):
         sp.add_argument("--seed", default="0",
                         help="non-negative integer seed, or 'random' "
                         "(default 0)")
-        return sp
 
     def add_workers(sp):
         sp.add_argument("--workers", type=int, default=None,
@@ -226,18 +223,21 @@ def build_parser():
     sp.add_argument("--ancilla", required=True)
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--iters", type=int, default=500)
+    add_seed(sp)
     add_workers(sp)
 
     sp = add("probe", help="QSS verdicts plus protocol search")
     sp.add_argument("--state", required=True)
     sp.add_argument("--ancilla", required=True)
     sp.add_argument("--budget", type=int, default=32000)
+    add_seed(sp)
     add_workers(sp)
 
     sp = add("random-state", help="sample a random density matrix")
     sp.add_argument("--dims", type=int, nargs="+", default=[2, 2])
     sp.add_argument("--rank", type=int, default=None)
     sp.add_argument("--state-out", help="also write a bare loadable state file")
+    add_seed(sp)
 
     return p
 
@@ -247,23 +247,23 @@ def _dispatch(args, seed):
     if cmd in ("search", "probe"):
         workers = _default_workers() if args.workers is None else args.workers
     if cmd == "qss":
-        rho = _bipartite(_load_density(args.state), cmd, exact=False)
-        verdict = qss.classify(rho, budget=args.budget, seed=seed)
+        rho = _bipartite(args.state, cmd)
+        verdict = qss.classify(rho, budget=args.budget)
         return {"state": args.state, "budget": args.budget}, verdict.to_dict()
     if cmd == "concurrence":
-        rho = _load_two_qubit(args.state, cmd)
+        rho = _load_density(args.state)
         return {"state": args.state}, {
             "concurrence": entanglement.concurrence(rho)
         }
     if cmd == "magic":
-        rho = _load_two_qubit(args.state, cmd)
+        rho = _load_density(args.state)
         md = entanglement.magic_decomposition(rho)
         return {"state": args.state}, {
             "lambda_primes": md.lambda_primes.tolist(),
             "z_states": [states.complex_to_pairs(z) for z in md.z_states],
         }
     if cmd == "ppt":
-        rho = _bipartite(_load_density(args.state), cmd)
+        rho = _bipartite(args.state, cmd)
         return {"state": args.state}, {
             "ppt_separable": entanglement.ppt_separable(rho),
             "min_pt_eigenvalue": entanglement.min_pt_eigenvalue(
@@ -283,21 +283,18 @@ def _dispatch(args, seed):
                   "round": args.round_file or args.protocol_name}
         return inputs, {"outcomes": [o.to_dict() for o in outcomes]}
     if cmd == "filter":
-        rho = _load_density(args.state)
-        try:
-            if args.c_file:
-                c = _fitted(_load_matrix(args.c_file), rho.dim, "--c")
-                out, prob = protocol.apply_global_filter(rho, c)
-            elif args.a_file and args.b_file:
-                da, db = _bipartite(rho, cmd).dims
-                out, prob = protocol.apply_local_filter(
-                    rho, _fitted(_load_matrix(args.a_file), da, "--a"),
-                    _fitted(_load_matrix(args.b_file), db, "--b"),
-                )
-            else:
-                raise BadParameters("filter needs --c or both --a and --b")
-        except ZeroProbability as exc:  # a filter that keeps nothing
-            raise BadParameters(str(exc)) from exc
+        rho = _bipartite(args.state, cmd)
+        if args.c_file:
+            c = _fitted(_load_matrix(args.c_file), rho.dim, "--c")
+            out, prob = protocol.apply_global_filter(rho, c)
+        elif args.a_file and args.b_file:
+            da, db = rho.dims
+            out, prob = protocol.apply_local_filter(
+                rho, _fitted(_load_matrix(args.a_file), da, "--a"),
+                _fitted(_load_matrix(args.b_file), db, "--b"),
+            )
+        else:
+            raise BadParameters("filter needs --c or both --a and --b")
         inputs = {"state": args.state, "a": args.a_file, "b": args.b_file,
                   "c": args.c_file}
         return inputs, {"probability": prob,
@@ -352,16 +349,14 @@ def run_command(argv):
         args = argv
     else:
         args = build_parser().parse_args(argv)
-    seed = None  # reported as null when --seed itself is bad
+    seed = None  # null without --seed, and when --seed itself is bad
     try:
-        seed = _parse_seed(args.seed)
+        if "seed" in args:
+            seed = _parse_seed(args.seed)
         inputs, results = _dispatch(args, seed)
-    except (ParseError, InvalidState, BadParameters) as exc:
-        doc = make_report(args.command, {}, {"error": str(exc)}, seed)
-        return 2, doc
     except QsslabError as exc:
-        doc = make_report(args.command, {}, {"error": str(exc)}, seed)
-        return 1, doc
+        code = 2 if isinstance(exc, _INPUT_ERRORS) else 1
+        return code, make_report(args.command, {}, {"error": str(exc)}, seed)
     return 0, make_report(args.command, inputs, results, seed)
 
 

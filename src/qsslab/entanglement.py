@@ -134,8 +134,7 @@ def ppt_separable(rho: states.QuantumState) -> bool:
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch(
-            f"PPT needs an explicit bipartition, got dims {rho.dims}"
-        )
+            f"PPT needs two tensor factors, got dims {rho.dims}")
     return min_pt_eigenvalue(rho.matrix, rho.dims) >= TOLERANCES["ppt_min_eig"]
 
 
@@ -147,9 +146,9 @@ def min_pt_eigenvalue(matrix, dims):
 
 
 def separable(rho: states.QuantumState) -> bool:
-    """The one separability test: the partial transpose across
-    (d_A, rest) has smallest eigenvalue >= ppt_min_eig and, for two
-    qubits, the concurrence is also <= concurrence_zero.
+    """The one separability test of a bipartite state: ppt_separable and,
+    for two qubits, a concurrence of at most concurrence_zero as well. A
+    state without exactly two tensor factors raises DimensionMismatch.
 
     PPT is exact for d_A * d_B <= 6 and a necessary condition above that.
     The two-qubit concurrence gate is there because the PPT tolerance
@@ -161,14 +160,9 @@ def separable(rho: states.QuantumState) -> bool:
     starve one member's weight until its PT eigenvalue crossed the
     threshold while the state stayed entangled.
     """
-    if len(rho.dims) < 2:
-        raise DimensionMismatch(
-            f"separability needs an explicit bipartition, got dims {rho.dims}"
-        )
-    pt_dims = (rho.dims[0], int(np.prod(rho.dims[1:])))
-    ppt = min_pt_eigenvalue(rho.matrix, pt_dims) >= TOLERANCES["ppt_min_eig"]
-    return ppt and (tuple(rho.dims) != (2, 2)
-                    or concurrence(rho) <= TOLERANCES["concurrence_zero"])
+    return ppt_separable(rho) and (
+        tuple(rho.dims) != (2, 2)
+        or concurrence(rho) <= TOLERANCES["concurrence_zero"])
 
 
 def schmidt_coefficients(psi, dims):

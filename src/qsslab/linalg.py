@@ -28,6 +28,10 @@ def dagger(m):
 
 def is_unitary(u, tol=TOLERANCES["unitary"]):
     u = np.asarray(u)
+    # no entry of a unitary exceeds modulus 1; a larger one fails before
+    # the product can overflow
+    if np.max(np.abs(u)) > 1.0 + tol:
+        return False
     return np.max(np.abs(u @ dagger(u) - np.eye(u.shape[0]))) <= tol
 
 

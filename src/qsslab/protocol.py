@@ -165,7 +165,9 @@ def apply_local_filter(rho_s, a, b):
     dsa, dsb = rho_s.dims
     if a.shape != (dsa, dsa) or b.shape != (dsb, dsb):
         raise DimensionMismatch("filter shapes do not match source dims")
-    return apply_global_filter(rho_s, np.kron(a, b))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        c = np.kron(a, b)
+    return apply_global_filter(rho_s, c)
 
 
 def apply_global_filter(rho_s, c):
@@ -173,8 +175,13 @@ def apply_global_filter(rho_s, c):
     c = np.asarray(c, dtype=complex)
     if c.shape != (rho_s.dim, rho_s.dim):
         raise DimensionMismatch("filter shape does not match source dimension")
-    m = c @ rho_s.matrix @ np.conj(c.T)
-    prob = float(np.real(np.trace(m)))
+    # large entries may overflow the kept block: that is a bad filter, not
+    # a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = c @ rho_s.matrix @ np.conj(c.T)
+        prob = float(np.real(np.trace(m)))
+    if not (np.isfinite(prob) and np.isfinite(m).all()):
+        raise BadParameters(f"filter keeps a non-finite block (trace {prob})")
     out = _post_state(m, prob, rho_s.dims)
     if out is None:
         raise ZeroProbability(f"filter annihilates the state (trace {prob})")

@@ -60,10 +60,11 @@ def verify_certificate(rho: states.QuantumState, ensemble, weights) -> bool:
     concurrence for two qubits; PPT alone is a necessary condition only
     beyond d_A * d_B = 6). A uniform reweighting that lands exactly on I/d
     is accepted at any dimension (explicit product decomposition of the
-    identity). A certificate on another bipartition, or weights that are
-    no reweighting of the ensemble, fail: False, never an exception.
+    identity). A state without two tensor factors, a certificate on
+    another bipartition, or weights that are no reweighting of the
+    ensemble, fail: False, never an exception.
     """
-    if ensemble.dims != rho.dims:
+    if len(rho.dims) != 2 or ensemble.dims != rho.dims:
         return False
     if (np.max(np.abs(ensemble.mixture() - rho.matrix))
             > TOLERANCES["reconstruction"]):
@@ -255,9 +256,12 @@ def range_certificate(rho: states.QuantumState) -> QssVerdict | None:
         "range-product-vectors")
 
 
-def _check_budget(budget):
+def _check_input(rho, budget):
     if budget < 1:
         raise BadParameters(f"budget must be >= 1, got {budget}")
+    if len(rho.dims) != 2:
+        raise DimensionMismatch(
+            f"a bipartite state has two tensor factors, got dims {rho.dims}")
 
 
 def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
@@ -271,13 +275,12 @@ def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
     first Phi(H) >= 0, when the barrier gap (d + l) mu falls below
     |ppt_min_eig|, or after `budget` steps. Evidence: best_pt_eigenvalue,
     that of the last H; pt_eigenvalue_bound, an upper bound over every
-    reweighting (weak duality); evaluations, the steps plus one. A budget
-    below 1 raises BadParameters.
+    reweighting (weak duality); evaluations, the steps plus one. The
+    partial transpose is over the second of rho's two tensor factors. A
+    budget below 1 raises BadParameters, and a state without two tensor
+    factors DimensionMismatch.
     """
-    _check_budget(budget)
-    if len(rho.dims) < 2:
-        raise DimensionMismatch("need an explicit bipartition")
-    pt_dims = (rho.dims[0], int(np.prod(rho.dims[1:])))
+    _check_input(rho, budget)
     d = rho.dim
     ens = states.spectral_ensemble(rho)
     l = len(ens)
@@ -286,7 +289,7 @@ def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
     if l == 1:
         evidence["route"] = "rank-1"
         evidence["best_pt_eigenvalue"] = entanglement.min_pt_eigenvalue(
-            rho.matrix, pt_dims
+            rho.matrix, rho.dims
         )
         return QssVerdict(UNKNOWN, evidence=evidence)
 
@@ -294,7 +297,7 @@ def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
     floor = TOLERANCES["min_certificate_weight"]
 
     def phi(h):
-        return linalg.partial_transpose(v @ h @ linalg.dagger(v), pt_dims)
+        return linalg.partial_transpose(v @ h @ linalg.dagger(v), rho.dims)
 
     h = np.eye(l) / l
     lam, u = np.linalg.eigh(phi(h))
@@ -342,10 +345,10 @@ def heuristic_search(rho: states.QuantumState, budget=10000) -> QssVerdict:
     s = lam - t
     sigma = v @ h @ linalg.dagger(v)
     best = entanglement.min_pt_eigenvalue(sigma / np.trace(sigma).real,
-                                          pt_dims)
+                                          rho.dims)
     # for P = S / tr S and every H: lambda_min(Phi(H)) <= tr(P Phi(H)) =
     # tr(V^dagger P^T_B V H) <= lambda_max(V^dagger P^T_B V)
-    p = linalg.partial_transpose((u / s) @ linalg.dagger(u), pt_dims)
+    p = linalg.partial_transpose((u / s) @ linalg.dagger(u), rho.dims)
     evidence["best_pt_eigenvalue"] = best
     evidence["pt_eigenvalue_bound"] = float(np.linalg.eigvalsh(
         linalg.dagger(v) @ p @ v)[-1] / np.sum(1.0 / s))
@@ -374,11 +377,13 @@ def classify(rho: states.QuantumState, budget=10000, seed=0) -> QssVerdict:
     search, the only route the budget bounds: it caps its Newton steps. An
     entangled pure state beyond two qubits is a NOT_QSS_CANDIDATE, as a
     two-qubit one is: its only decomposition is itself. A budget below 1
-    raises BadParameters on every route. Every route is deterministic, so
-    no verdict depends on `seed`; it stays in the signature for the callers
-    that pass one (the CLI, impossibility_probe, the benchmark).
+    raises BadParameters, and a state without exactly two tensor factors
+    DimensionMismatch, before any route runs. Every route is
+    deterministic, so no verdict depends on `seed`; no caller in the
+    package passes one, and it stays in the signature only because the
+    benchmark's classify workload does.
     """
-    _check_budget(budget)
+    _check_input(rho, budget)
     verdict = full_rank_certificate(rho)
     if verdict.status == QSS:
         return verdict

@@ -22,8 +22,9 @@ from .errors import BadWeights, DimensionMismatch, InvalidState, NotIsometry
 
 
 def _positive_dims(dims):
-    out = tuple(int(d) for d in dims)
-    if not out or min(out) < 1 or list(out) != list(dims):
+    out = tuple(map(int, dims))
+    if (not out or min(out) < 1 or list(out) != list(dims)
+            or bool in map(type, dims)):
         raise InvalidState(f"dims: {dims!r} is not a list of positive integers")
     return out
 
@@ -102,11 +103,13 @@ class Ensemble:
                                f"weights and vectors do not fit dims {dims}")
         if not np.all(np.isfinite(v)):
             raise InvalidState("finite: member vector contains NaN or Inf")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(abs(norms - 1.0) > TOLERANCES["trace_one"]):
+        # an entry of modulus above 1 fails before a norm squares it
+        tol = TOLERANCES["trace_one"]
+        if (np.any(np.abs(v) > 1.0 + tol)
+                or np.any(abs(np.linalg.norm(v, axis=1) - 1.0) > tol)):
             raise InvalidState("norm: member vector is not unit norm")
         total = sum(w.tolist())
-        if abs(total - 1.0) > TOLERANCES["trace_one"]:
+        if abs(total - 1.0) > tol:
             raise InvalidState(f"weights: sum {total}, expected 1")
         w.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -265,6 +268,8 @@ def pairs_to_complex(data):
         raise InvalidState(f"format: {exc}") from exc
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise InvalidState("format: complex entries must be [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidState("finite: complex entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -10,8 +10,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qsslab
-from qsslab import cli, states
-from qsslab.errors import InvalidState, ParseError
+from qsslab import cli, search, states
+from qsslab.errors import (
+    BadParameters,
+    DimensionMismatch,
+    InvalidState,
+    NonUnitary,
+    ParseError,
+    QsslabError,
+    ZeroProbability,
+)
 
 
 def write_state(tmp_path, name, rho):
@@ -69,7 +77,7 @@ def test_reproduce_cnot_command():
     assert code == 0
     outcomes = {o["outcome"]: o for o in doc["results"]["outcomes"]}
     assert abs(outcomes["01"]["probability"] - 0.125) <= 1e-9
-    assert doc["seed"] == 0
+    assert doc["seed"] is None
     assert doc["versions"]["config_hash"] == cli.CONFIG_HASH
 
 
@@ -245,7 +253,7 @@ def test_main_writes_to_out(tmp_path, capsys):
 
 def test_bad_seed_exits_2():
     for seed in ["abc", "-1"]:
-        code, doc = cli.run_command(["reproduce-cnot", "--seed", seed])
+        code, doc = cli.run_command(["random-state", "--seed", seed])
         assert code == 2
         assert "--seed" in doc["results"]["error"]
         assert doc["seed"] is None
@@ -253,7 +261,7 @@ def test_bad_seed_exits_2():
 
 def test_main_bad_seed_exits_2(tmp_path):
     out = tmp_path / "report.json"
-    assert cli.main(["--out", str(out), "reproduce-cnot", "--seed", "abc"]) == 2
+    assert cli.main(["--out", str(out), "random-state", "--seed", "abc"]) == 2
     assert "error" in json.loads(out.read_text())["results"]
 
 
@@ -283,6 +291,58 @@ def test_workers_belong_to_the_searching_commands(tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(
             ["concurrence", "--state", s, "--workers", "0"])
+
+
+def test_seed_belongs_to_the_seeded_commands(tmp_path):
+    # only search, probe and random-state read a seed; the other seven
+    # commands reject the flag at parse time and report "seed": null
+    s = write_state(tmp_path, "s.json", states.werner(0.9))
+    parser = cli.build_parser()
+    for argv in (["qss", "--state", s], ["concurrence", "--state", s],
+                 ["magic", "--state", s], ["ppt", "--state", s],
+                 ["simulate", "--state", s, "--ancilla", s],
+                 ["filter", "--state", s], ["reproduce-cnot"]):
+        assert "seed" not in parser.parse_args(argv)
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--seed", "1"])
+    for argv in (["search", "--state", s, "--ancilla", s],
+                 ["probe", "--state", s, "--ancilla", s], ["random-state"]):
+        assert parser.parse_args(argv + ["--seed", "1"]).seed == "1"
+
+
+@pytest.mark.parametrize("error, code", [
+    (ParseError, 2), (InvalidState, 2), (BadParameters, 2),
+    (DimensionMismatch, 2), (NonUnitary, 2), (ZeroProbability, 2),
+    (QsslabError, 1),
+])
+def test_error_class_picks_the_exit_code(monkeypatch, error, code):
+    def load(path):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "load_state", load)
+    got, doc = cli.run_command(["concurrence", "--state", "s.json"])
+    assert got == code
+    assert doc["results"] == {"error": "planted"}
+
+
+def test_restart_count_is_bounded_before_any_restart_is_built(
+        tmp_path, monkeypatch):
+    s = write_state(tmp_path, "s.json", states.werner(0.9))
+
+    def bases(*args):
+        raise AssertionError("restarts built")
+
+    monkeypatch.setattr(search, "_restart_bases", bases)
+    pair = ["--state", s, "--ancilla", s, "--workers", "1"]
+    for argv in (["search", "--restarts", "4097"],
+                 ["search", "--restarts", "10000000"],
+                 ["probe", "--budget", "5000000000"]):
+        code, doc = cli.run_command(argv + pair)
+        assert code == 2
+        assert "restarts must be between 1 and 4096" in doc["results"]["error"]
+    # the bound itself passes the check and reaches the restarts
+    with pytest.raises(AssertionError, match="restarts built"):
+        cli.run_command(["search", "--restarts", "4096"] + pair)
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):
@@ -385,12 +445,26 @@ def _bad_input_files(tmp_path):
                     ("z4", np.zeros((4, 4))), ("z2", np.zeros((2, 2)))):
         files[name] = str(tmp_path / f"{name}.json")
         Path(files[name]).write_text(json.dumps(states.complex_to_pairs(m)))
+    # JSON numbers that break arithmetic: NaN, Inf and 1e200 entries
+    for name, x in (("nan2", np.nan), ("inf2", np.inf), ("big2", 1e200)):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(
+            states.complex_to_pairs(np.diag([x, 1.0]))))
     for name, ua, ub in (("short", np.eye(4), np.eye(2)),
-                         ("nonunitary", 2 * np.eye(4), np.eye(4))):
+                         ("nonunitary", 2 * np.eye(4), np.eye(4)),
+                         ("infround", np.diag([np.inf, 1, 1, 1]), np.eye(4)),
+                         ("biground", np.diag([1e200, 1, 1, 1]), np.eye(4))):
         files[name] = str(tmp_path / f"{name}.json")
         Path(files[name]).write_text(json.dumps(
             {"u_alice": states.complex_to_pairs(ua),
              "u_bob": states.complex_to_pairs(ub)}))
+    files["bigens"] = str(tmp_path / "bigens.json")
+    Path(files["bigens"]).write_text(json.dumps({"dims": [2, 2], "members": [
+        {"weight": 1.0,
+         "vector": states.complex_to_pairs(np.array([1e200, 0, 0, 0]))}]}))
+    files["booldims"] = str(tmp_path / "booldims.json")
+    Path(files["booldims"]).write_text(json.dumps(
+        {"dims": [True, 2], "matrix": states.complex_to_pairs(np.eye(2) / 2)}))
     return files
 
 
@@ -405,13 +479,23 @@ def _bad_input_files(tmp_path):
     ("probe --state s22 --ancilla s4 --budget 10", "tensor factors"),
     ("ppt --state s4", "tensor factors"),
     ("ppt --state s222", "tensor factors"),
-    ("qss --state s4 --budget 10", "at least two tensor factors"),
+    ("qss --state s4 --budget 10", "two tensor factors"),
+    ("qss --state s222 --budget 10", "two tensor factors"),
     ("filter --state s22 --c c3", "--c must be 4x4"),
     ("filter --state s22 --a c3 --b c2", "--a must be 2x2"),
     ("filter --state s222 --a c2 --b c2", "tensor factors"),
+    ("filter --state s4 --c z4", "tensor factors"),
     ("filter --state s22 --c z4", "annihilates"),
     ("filter --state s22 --a z2 --b c2", "annihilates"),
     ("filter --state s22 --a c2 --b z2", "annihilates"),
+    ("filter --state s22 --a nan2 --b c2", "finite"),
+    ("filter --state s22 --a c2 --b inf2", "finite"),
+    ("filter --state s22 --a big2 --b c2", "finite"),
+    ("filter --state s22 --a big2 --b big2", "finite"),
+    ("simulate --state s22 --ancilla s22 --round infround", "finite"),
+    ("simulate --state s22 --ancilla s22 --round biground", "unitary"),
+    ("qss --state bigens", "norm"),
+    ("ppt --state booldims", "dims"),
     ("random-state --rank -1", "--rank"),
     ("random-state --rank 0", "--rank"),
     ("random-state --dims 2 2 --rank 5", "--rank"),

@@ -68,6 +68,18 @@ def test_reweight_certificate_requires_two_qubits():
         qss.reweight_certificate_2q(rho)
 
 
+@pytest.mark.parametrize("rank", [8, 3])
+def test_three_tensor_factors_are_not_bipartite(rank):
+    # (2, 2, 2) is no bipartition: each entry point rejects it before any
+    # route runs, the full-rank one included, and no certificate holds
+    rho = states.random_density((2, 2, 2), rank=rank, seed=0)
+    for test in (qss.classify, qss.heuristic_search, entanglement.separable):
+        with pytest.raises(DimensionMismatch, match="two tensor factors"):
+            test(rho)
+    ens = states.spectral_ensemble(rho)
+    assert qss.verify_certificate(rho, ens, ens.weights) is False
+
+
 def test_heuristic_search_full_rank_trivial(rng):
     rho = states.random_density_from_rng((2, 2), rng)
     verdict = qss.heuristic_search(rho, budget=10)
